@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from dataclasses import field as _field
@@ -120,6 +121,36 @@ def _parse_tolerances(items):
     return out
 
 
+def _workers_arg(text):
+    # Also converts the string default taken from $COSLAM_WORKERS.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer (from --workers or ${_ENV_WORKERS}), got {text!r}") from None
+
+
+# Options whose value may be a negative number.  argparse reads a separate
+# value such as "-1.5,0" as an option, so it is glued on as --opt=value.
+_SIGNED_OPTIONS = frozenset({"--lambda", "--lambda-grid", "--lambda-im", "--re-min", "--re-max"})
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _glue_signed_values(argv):
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in _SIGNED_OPTIONS and i + 1 < len(argv)
+                and _SIGNED_VALUE.match(argv[i + 1])):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def _build_parser():
     parser = _Parser(prog="coslam", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -133,8 +164,8 @@ def _build_parser():
             sp.add_argument("--p", type=int, default=1, help="subspace dimension")
         sp.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
         sp.add_argument("--output", default="", help="output path (default: stdout)")
-        sp.add_argument("--workers", type=int,
-                        default=int(os.environ.get(_ENV_WORKERS, "1")),
+        sp.add_argument("--workers", type=_workers_arg,
+                        default=os.environ.get(_ENV_WORKERS, "1"),
                         help=f"Monte Carlo worker streams (default ${_ENV_WORKERS} or 1)")
 
     sp = sub.add_parser("spectrum", help="table of eigenvalues over the K-type lattice")
@@ -218,8 +249,8 @@ def _config_from_args(args):
         cfg.samples = args.samples
         cfg.grid_order = args.grid_order
         cfg.tolerances = _parse_tolerances(args.tolerance)
-        if cfg.samples < 1:
-            raise _CliError("--samples must be >= 1")
+        if cfg.samples < 2:
+            raise _CliError("--samples must be >= 2 (the standard error needs two samples)")
     return cfg
 
 
@@ -386,17 +417,13 @@ def run(cfg):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_glue_signed_values(list(argv)))
         cfg = _config_from_args(args)
         report, status = run(cfg)
-    except _CliError as exc:
-        err = {"schema": SCHEMA_NAME, "command": "error",
-               "error": {"type": "invalid-config", "message": str(exc)}}
-        sys.stderr.write(json.dumps(err, separators=(",", ":")) + "\n")
-        return 1
-    except ValueError as exc:
+    except (_CliError, ValueError) as exc:
         err = {"schema": SCHEMA_NAME, "command": "error",
                "error": {"type": "invalid-config", "message": str(exc)}}
         sys.stderr.write(json.dumps(err, separators=(",", ":")) + "\n")

@@ -38,6 +38,7 @@ __all__ = [
     "torus_point",
     "haar_sample",
     "haar_batch",
+    "frame_batch",
 ]
 
 
@@ -255,6 +256,28 @@ def torus_point(sig, t):
 # ---------------------------------------------------------------------------
 
 
+def _ginibre(sig, rng, count, cols=None):
+    """count Ginibre matrices as a stacked realization, first `cols` field columns.
+
+    The full (count, n+1, n+1) real parts are always drawn, in a fixed order
+    (R: one part; C: re, im; H: alpha re, alpha im, beta re, beta im), and
+    sliced to `cols` before they are combined.  So the generator advances
+    the same whatever `cols` is, and the kept columns are the same numbers.
+    """
+    n1 = sig.n + 1
+
+    def part():
+        return rng.standard_normal((count, n1, n1))[:, :, :cols]
+
+    if sig.field is FieldTag.REAL:
+        return part()
+    if sig.field is FieldTag.COMPLEX:
+        return part() + 1j * part()
+    alpha = part() + 1j * part()
+    beta = part() + 1j * part()
+    return quat_embed(alpha, beta)
+
+
 def haar_batch(sig, rng, count):
     """count independent Haar samples from K, as a stacked realization array.
 
@@ -263,27 +286,35 @@ def haar_batch(sig, rng, count):
     move the induced point on the Grassmannian).  For H the quaternionic
     Gram-Schmidt already lands in the compact symplectic group.
     """
-    n1 = sig.n + 1
-    field = sig.field
-    if field is FieldTag.REAL:
-        g = rng.standard_normal((count, n1, n1))
+    g = _ginibre(sig, rng, count)
+    if sig.field is FieldTag.REAL:
         q, r = np.linalg.qr(g)
         diag = np.einsum("bii->bi", r)
         q = q * np.where(diag < 0.0, -1.0, 1.0)[:, None, :]
         dets = np.linalg.det(q)
         q[dets < 0, :, -1] *= -1.0
         return q
-    if field is FieldTag.COMPLEX:
-        g = rng.standard_normal((count, n1, n1)) + 1j * rng.standard_normal((count, n1, n1))
+    if sig.field is FieldTag.COMPLEX:
         q, r = np.linalg.qr(g)
         diag = np.einsum("bii->bi", r)
         q = q * (diag / np.abs(diag))[:, None, :]
         dets = np.linalg.det(q)
         q[:, :, -1] *= (dets.conj() / np.abs(dets))[:, None]
         return q
-    alpha = rng.standard_normal((count, n1, n1)) + 1j * rng.standard_normal((count, n1, n1))
-    beta = rng.standard_normal((count, n1, n1)) + 1j * rng.standard_normal((count, n1, n1))
-    return _quat_mgs(quat_embed(alpha, beta))
+    return _quat_mgs(g)
+
+
+def frame_batch(sig, rng, count):
+    """The Gaussian p-frames G behind haar_batch(sig, rng, count).
+
+    G is the first p field columns of the same Ginibre draw, and rng
+    advances exactly as under haar_batch.  Column k of the QR or
+    Gram-Schmidt factor depends only on columns 1..k of the draw, so the
+    first p columns of the Haar sample are Q = G T with T invertible and
+    T T* = (G* G)^(-1).  Any |det| of p rows of Q and their Frobenius norm
+    are therefore functions of G alone.
+    """
+    return _ginibre(sig, rng, count, cols=sig.p)
 
 
 def _quat_mgs(m):

@@ -342,12 +342,17 @@ def gindikin_gamma(p, d, v):
     return gp.value()
 
 
-def _mul_gindikin(gp, sig, twice_arg, shifts, slope, power):
-    # Gamma_{p,d} of the tuple ((twice_arg + shifts_j)/2)_j; slope is the
-    # lambda-derivative of each component, i.e. d(twice_arg)/dlambda / 2.
+def _mul_gindikin(gp, sig, sign, lam, const, shifts, power):
+    # Gamma_{p,d} of the tuple ((sign*lam + const + shifts_j)/2)_j, sign in
+    # {-1, 0, +1}.  Component j is Gamma((sign*lam + c_j)/2) with
+    # c_j = const + shifts_j - d*j, an exact (half-)integer, so each argument
+    # is rounded once and the halving is exact.  Near a singular hyperplane
+    # the relative error is the argument's rounding over its distance to the
+    # pole, so every extra rounding would show there.
     d = sig.d
+    lam = sign * lam
     for j in range(sig.p):
-        gp.mul_gamma(0.5 * (twice_arg + shifts[j]) - 0.5 * d * j, slope=slope, power=power)
+        gp.mul_gamma(0.5 * (lam + (const + shifts[j] - d * j)), slope=0.5 * sign, power=power)
 
 
 def enumerate_ktypes(sig, max_degree):
@@ -428,10 +433,10 @@ def c_p(sig, lam):
     lam = complex(lam)
     z = _shifts(sig)
     gp = GammaProduct()
-    _mul_gindikin(gp, sig, sig.d * (sig.n + 1.0), z, 0.0, +1)
-    _mul_gindikin(gp, sig, sig.d * sig.p, z, 0.0, -1)
-    _mul_gindikin(gp, sig, lam - sig.rho + sig.d * sig.p, z, 0.5, +1)
-    _mul_gindikin(gp, sig, lam + sig.rho, z, 0.5, -1)
+    _mul_gindikin(gp, sig, 0, 0.0, sig.d * (sig.n + 1), z, +1)
+    _mul_gindikin(gp, sig, 0, 0.0, sig.d * sig.p, z, -1)
+    _mul_gindikin(gp, sig, +1, lam, -sig.rho + sig.d * sig.p, z, +1)
+    _mul_gindikin(gp, sig, +1, lam, sig.rho, z, -1)
     return gp.value()
 
 
@@ -449,12 +454,12 @@ def eta(sig, mu, lam):
     z = _shifts(sig)
     gp = GammaProduct()
     gp.mul_sign(mu.degree // 2)
-    _mul_gindikin(gp, sig, sig.d * (sig.n + 1.0), z, 0.0, +1)
-    _mul_gindikin(gp, sig, sig.d * sig.p, z, 0.0, -1)
-    _mul_gindikin(gp, sig, lam - sig.rho + sig.d * sig.p, z, 0.5, +1)
-    _mul_gindikin(gp, sig, -lam + sig.rho, mu.m, -0.5, +1)
-    _mul_gindikin(gp, sig, -lam + sig.rho, z, -0.5, -1)
-    _mul_gindikin(gp, sig, lam + sig.rho, mu.m, 0.5, -1)
+    _mul_gindikin(gp, sig, 0, 0.0, sig.d * (sig.n + 1), z, +1)
+    _mul_gindikin(gp, sig, 0, 0.0, sig.d * sig.p, z, -1)
+    _mul_gindikin(gp, sig, +1, lam, -sig.rho + sig.d * sig.p, z, +1)
+    _mul_gindikin(gp, sig, -1, lam, sig.rho, mu.m, +1)
+    _mul_gindikin(gp, sig, -1, lam, sig.rho, z, -1)
+    _mul_gindikin(gp, sig, +1, lam, sig.rho, mu.m, -1)
     return gp.value()
 
 
@@ -536,12 +541,12 @@ def nu(sig, mu, lam):
     lam = complex(lam)
     z = _shifts(sig)
     gp = GammaProduct()
-    _mul_gindikin(gp, sig, 2.0 * sig.rho, z, 0.0, +1)
-    _mul_gindikin(gp, sig, sig.rho, z, 0.0, -1)
-    _mul_gindikin(gp, sig, lam, z, 0.5, +1)
-    _mul_gindikin(gp, sig, -lam + sig.rho, mu.m, -0.5, +1)
-    _mul_gindikin(gp, sig, -lam + sig.rho, z, -0.5, -1)
-    _mul_gindikin(gp, sig, lam + sig.rho, mu.m, 0.5, -1)
+    _mul_gindikin(gp, sig, 0, 0.0, 2.0 * sig.rho, z, +1)
+    _mul_gindikin(gp, sig, 0, 0.0, sig.rho, z, -1)
+    _mul_gindikin(gp, sig, +1, lam, 0, z, +1)
+    _mul_gindikin(gp, sig, -1, lam, sig.rho, mu.m, +1)
+    _mul_gindikin(gp, sig, -1, lam, sig.rho, z, -1)
+    _mul_gindikin(gp, sig, +1, lam, sig.rho, mu.m, -1)
     return gp.value()
 
 

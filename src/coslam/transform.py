@@ -7,12 +7,28 @@ That makes them usable as oracles:
   quadrature on S^1 and S^2,
 * `funk_hecke_1d` reduces the sphere eigenvalue to a 1-D integral,
 * `mc_c_p`, `mc_transform_ktype` and `sin_transform_numeric` estimate the
-  Grassmannian eigenvalues by Haar Monte Carlo,
+  Grassmannian eigenvalues by Monte Carlo over Haar measure,
 * `selberg_oracle` brute-forces the Selberg integral that powers the
   closed-form c-function, against `selberg_closed`.
 
 Convergence gate: the defining integrals converge for Re(lambda) >= rho (the
 kernel is then bounded by 1); everything here enforces that.
+
+Monte Carlo estimators: every integrand reads only the first p columns
+k.b_o of a Haar sample k, i.e. the orthonormalized p-frame of the Ginibre
+draw behind geometry.haar_batch.  The estimators read that Gaussian frame G
+(geometry.frame_batch, the same numbers from the same stream) and evaluate
+
+    alpha_p(k) = |det_K G_rows| / |det_K(G* G)|^(1/2),
+    |k_top|_F^2 = tr(G_top (G* G)^(-1) G_top*)   (halved for H),
+
+which is exact.  The first p columns of k are G T with T T* = (G* G)^(-1),
+so |det(G_rows T)| = |det G_rows| / det(G* G)^(1/2) and |G_top T|_F^2 is the
+trace above; haar_batch's phase fix only scales columns by unit scalars and
+its determinant correction only touches column n+1.  So each estimate equals
+the one computed from full Haar matrices to rounding, without the
+(n+1) x (n+1) QR or the quaternionic Gram-Schmidt, and the acceptance seeds
+keep their realizations.
 
 Monte Carlo error model: plain sample standard error; the integrands are
 bounded on the convergence region so the CLT applies.  A master seed is split
@@ -28,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .geometry import haar_batch
+# haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
+from .geometry import _abs_det_field, _units, frame_batch, haar_batch  # noqa: F401
 from .scalar import gauss_legendre, gegenbauer
 from .spectral import FieldTag, GammaProduct, ktype
 
@@ -244,7 +261,7 @@ def funk_hecke_1d(n, m, lam):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo over Haar measure.
+# Monte Carlo over Haar measure, read through Gaussian p-frames.
 # ---------------------------------------------------------------------------
 
 
@@ -298,7 +315,7 @@ def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14):
         left = count
         while left > 0:
             take = min(batch, left)
-            vals = value_fn(haar_batch(sig, rng, take))
+            vals = value_fn(frame_batch(sig, rng, take))
             s1 += complex(vals.sum())
             s2 += float(np.abs(vals) ** 2 @ np.ones(take))
             left -= take
@@ -309,35 +326,29 @@ def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14):
     return McEstimate(mean=mean, stderr=math.sqrt(var / n), samples=n, seed=seed)
 
 
-def _units(field):
-    return 2 if field is FieldTag.QUATERNION else 1
+def _gram(frames):
+    return np.matmul(frames.conj().transpose(0, 2, 1), frames)
 
 
-def _block_alpha(sig, mats, rows, cols):
-    dets = np.abs(np.linalg.det(mats[:, rows, cols]))
-    if sig.field is FieldTag.QUATERNION:
-        dets = np.sqrt(dets)
-    return dets
-
-
-def _alpha_top(sig, mats):
+def _frame_alpha(sig, frames, gram, block):
+    # alpha_p of the Haar sample's p x p block `block` (0: top, 1: the rows
+    # below it), from its Gaussian frame G = Q T^(-1) with T T* = (G*G)^(-1):
+    # |det Q_block| = |det G_block| / det(G*G)^(1/2).
     pe = _units(sig.field) * sig.p
-    return _block_alpha(sig, mats, slice(None, pe), slice(None, pe))
+    rows = frames[:, block * pe: (block + 1) * pe]
+    return _abs_det_field(sig.field, rows) / np.sqrt(_abs_det_field(sig.field, gram))
 
 
-def _alpha_perp(sig, mats):
-    pe = _units(sig.field) * sig.p
-    return _block_alpha(sig, mats, slice(pe, 2 * pe), slice(None, pe))
-
-
-def _ktype_test_values(sig, mats):
+def _ktype_test_values(sig, frames, gram):
     # Value at h.b_o of the zonal degree-2 invariant spanning the first
     # nontrivial K-type: trace of the product of the projections onto h.b_o
     # and the base point, centered at its Haar mean p^2/(n+1).  In frame
-    # terms that is the squared Frobenius norm of the top-left p x p block.
+    # terms that is the squared Frobenius norm of the top-left p x p block
+    # of the Haar sample, tr(G_top (G*G)^(-1) G_top*).
     pe = _units(sig.field) * sig.p
-    block = mats[:, :pe, :pe]
-    sumsq = np.einsum("bij,bij->b", block.conj(), block).real
+    top = frames[:, :pe]
+    sol = np.linalg.solve(gram, top.conj().transpose(0, 2, 1))
+    sumsq = np.einsum("bij,bji->b", top, sol).real
     if sig.field is FieldTag.QUATERNION:
         sumsq = 0.5 * sumsq
     return sumsq - sig.p ** 2 / (sig.n + 1.0)
@@ -377,7 +388,8 @@ def mc_c_p(sig, lam, samples, seed, workers=1):
     """Monte Carlo estimate of the c-function: mean of alpha_p(k)^(lambda-rho)."""
     _require_convergent(lam, sig.rho)
     powf = _power_fn(complex(lam) - sig.rho)
-    return _mc_mean(sig, lambda mats: powf(_alpha_top(sig, mats)), samples, seed, workers)
+    return _mc_mean(sig, lambda g: powf(_frame_alpha(sig, g, _gram(g), 0)),
+                    samples, seed, workers)
 
 
 def mc_transform_ktype(sig, lam, mu, samples, seed, workers=1):
@@ -394,8 +406,9 @@ def mc_transform_ktype(sig, lam, mu, samples, seed, workers=1):
         return mc_c_p(sig, lam, samples, seed, workers)
     base = _ktype_base_value(sig)
 
-    def values(mats):
-        return powf(_alpha_top(sig, mats)) * _ktype_test_values(sig, mats) / base
+    def values(g):
+        gram = _gram(g)
+        return powf(_frame_alpha(sig, g, gram, 0)) * _ktype_test_values(sig, g, gram) / base
 
     return _mc_mean(sig, values, samples, seed, workers)
 
@@ -414,11 +427,12 @@ def sin_transform_numeric(sig, lam, mu, samples, seed, workers=1):
     powf = _power_fn(complex(lam) - sig.rho)
     base = _ktype_base_value(sig)
 
-    def values(mats):
-        kern = powf(_alpha_perp(sig, mats))
+    def values(g):
+        gram = _gram(g)
+        kern = powf(_frame_alpha(sig, g, gram, 1))
         if mu.is_zero:
             return kern
-        return kern * _ktype_test_values(sig, mats) / base
+        return kern * _ktype_test_values(sig, g, gram) / base
 
     return _mc_mean(sig, values, samples, seed, workers)
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from coslam.cli import main
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, omega
@@ -198,3 +202,64 @@ class TestErrors:
                                  "--p", "2", "--mu", "1,0")
         assert status == 1
         check(json.loads(err))
+
+
+def one_error_object(err):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    check(report)
+    assert report["command"] == "error"
+    return report
+
+
+class TestBoundary:
+    def test_non_integer_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("COSLAM_WORKERS", "abc")
+        status, out, err = run_cli(capsys, "verify", "--suite", "normalization")
+        assert status == 1 and out == ""
+        assert "COSLAM_WORKERS" in one_error_object(err)["error"]["message"]
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-5"])
+    def test_verify_needs_two_samples(self, capsys, samples):
+        status, out, err = run_cli(capsys, "verify", "--suite", "mc", "--samples", samples)
+        assert status == 1 and out == ""
+        one_error_object(err)
+
+    def test_missing_lambda_value(self, capsys):
+        status, _, err = run_cli(capsys, "cp", "--lambda")
+        assert status == 1
+        one_error_object(err)
+
+    def test_negative_complex_lambda_as_separate_argument(self, capsys):
+        sig = ["--field", "C", "--n", "3", "--p", "2"]
+        status, out, err = run_cli(capsys, "cp", *sig, "--lambda", "-1.5,0")
+        assert status == 0 and err == ""
+        report = json.loads(out)
+        check(report)
+        assert report["config"]["lambda"] == {"re": -1.5, "im": 0.0}
+        status, glued, _ = run_cli(capsys, "cp", *sig, "--lambda=-1.5,0")
+        assert status == 0 and glued == out
+
+    def test_negative_grid_and_range_values(self, capsys):
+        status, out, _ = run_cli(capsys, "cp", "--lambda-grid", "-2:1:4", "--lambda-im", "-0.5")
+        assert status == 0
+        assert [row["lambda"] for row in json.loads(out)["rows"]] == [
+            {"re": x, "im": -0.5} for x in (-2.0, -1.0, 0.0, 1.0)]
+        status, out, _ = run_cli(capsys, "poles", "--re-min", "-3.5", "--re-max", "-0.5")
+        assert status == 0
+        assert all(-3.5 <= r["lambda_re"] <= -0.5 for r in json.loads(out)["rows"])
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    src = str(resources.files("coslam").parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "coslam", "cp", "--field", "R", "--n", "2", "--p", "1",
+         "--lambda", "3.5"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    check(report)
+    assert abs(report["rows"][0]["cp"]["re"] - 1.0 / 3.0) < 1e-13

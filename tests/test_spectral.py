@@ -487,3 +487,47 @@ class TestSpectralValue:
             SpectralValue.pole(1).value
         with pytest.raises(ValueError):
             SpectralValue.finite(0.0)
+
+
+class TestNearHyperplane:
+    """Real lambdas within ~1e-3 of a singular hyperplane, where the relative
+    error is the rounding of each Gamma argument over its distance to the
+    pole; checked against the Gindikin-Gamma formula in 50-digit mpmath."""
+
+    @staticmethod
+    def mp_value(s, mu, lam, kind):
+        import mpmath as mp
+
+        d, p = s.d, s.p
+        zero = (0,) * p
+        lam = mp.mpf(lam)
+        rho = mp.mpf(d * (s.n + 1)) / 2
+
+        def gind(twice, shifts, inverse=False):
+            g = mp.rgamma if inverse else mp.gamma
+            out = mp.mpf(1)
+            for j in range(p):
+                out *= g((twice + shifts[j]) / 2 - mp.mpf(d) * j / 2)
+            return out
+
+        head = gind(d * (s.n + 1), zero) * gind(d * p, zero, True) * gind(lam - rho + d * p, zero)
+        if kind == "cp":
+            return head * gind(lam + rho, zero, True)
+        sign = -1 if (sum(mu) // 2) % 2 else 1
+        return sign * head * (gind(-lam + rho, mu) * gind(-lam + rho, zero, True)
+                              * gind(lam + rho, mu, True))
+
+    @pytest.mark.parametrize("n,p,lam,kind", [
+        (5, 2, 3.9990740186607683, "cp"),
+        (7, 3, -9.99797989068024, "eta"),
+    ])
+    def test_matches_mpmath(self, n, p, lam, kind):
+        import mpmath as mp
+
+        s = sig(n, p, FieldTag.QUATERNION)
+        mu = (0,) * p
+        got = (c_p(s, lam) if kind == "cp" else eta(s, mu, lam)).value
+        with mp.workdps(50):
+            ref = self.mp_value(s, mu, lam, kind)
+            err = float(abs(mp.mpc(got) - ref) / abs(ref))
+        assert err <= 1e-12

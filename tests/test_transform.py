@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from coslam.geometry import frame_batch, haar_batch
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_eta
 from coslam.transform import (
     ConvergenceError,
     SphereGrid,
+    _frame_alpha,
+    _gram,
+    _ktype_test_values,
     cos_transform_sphere,
     funk_hecke_1d,
     mc_c_p,
@@ -351,3 +355,46 @@ class TestSpectralInversion:
                 for mu, a in zip(mus, coeffs):
                     double = (eta(s, mu, lam) * eta(s, mu, -lam)).value * a
                     assert rel_err(double, scale * a) < 1e-10
+
+
+class TestFrameEstimator:
+    """The Monte Carlo integrands read the Gaussian p-frame behind each Haar
+    sample; they must equal the same integrands read off the Haar sample."""
+
+    COUNT = 512
+
+    @staticmethod
+    def haar_integrands(s, mats):
+        u = 2 if s.field is H else 1
+        pe = u * s.p
+
+        def alpha(block):
+            d = np.abs(np.linalg.det(block))
+            return np.sqrt(d) if s.field is H else d
+
+        top = mats[:, :pe, :pe]
+        sumsq = np.einsum("bij,bij->b", top.conj(), top).real
+        if s.field is H:
+            sumsq = 0.5 * sumsq
+        return alpha(top), alpha(mats[:, pe: 2 * pe, :pe]), sumsq - s.p ** 2 / (s.n + 1.0)
+
+    @pytest.mark.parametrize("field", [R, C, H])
+    @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1)])
+    def test_integrands_match_haar_formulas(self, field, n, p):
+        s = sig(n, p, field)
+        mats = haar_batch(s, np.random.default_rng(31), self.COUNT)
+        frames = frame_batch(s, np.random.default_rng(31), self.COUNT)
+        gram = _gram(frames)
+        top, below, test = self.haar_integrands(s, mats)
+        assert np.abs(_frame_alpha(s, frames, gram, 0) - top).max() < 1e-12
+        assert np.abs(_frame_alpha(s, frames, gram, 1) - below).max() < 1e-12
+        assert np.abs(_ktype_test_values(s, frames, gram) - test).max() < 1e-12
+
+    @pytest.mark.parametrize("field", [R, C, H])
+    @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1)])
+    def test_frame_draw_advances_stream_like_haar(self, field, n, p):
+        s = sig(n, p, field)
+        rng_frame, rng_haar = np.random.default_rng(8), np.random.default_rng(8)
+        frame_batch(s, rng_frame, 7)
+        haar_batch(s, rng_haar, 7)
+        assert rng_frame.standard_normal() == rng_haar.standard_normal()
