@@ -98,7 +98,19 @@ def _parse_complex(text):
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise _CliError(f"cannot parse complex value {text!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise _CliError(f"--lambda must be finite, got {text!r}")
     return complex(re, im)
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_mu(text):
@@ -118,6 +130,8 @@ def _parse_tolerances(items):
             out[name] = float(val)
         except ValueError:
             raise _CliError(f"tolerance override {item!r} has a non-numeric value") from None
+        if not (math.isfinite(out[name]) and out[name] > 0.0):
+            raise _CliError(f"tolerance override {item!r} must be finite and positive")
     return out
 
 
@@ -133,7 +147,7 @@ def _workers_arg(text):
 # Options whose value may be a negative number.  argparse reads a separate
 # value such as "-1.5,0" as an option, so it is glued on as --opt=value.
 _SIGNED_OPTIONS = frozenset({"--lambda", "--lambda-grid", "--lambda-im", "--re-min", "--re-max"})
-_SIGNED_VALUE = re.compile(r"-[\d.]")
+_SIGNED_VALUE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
 
 def _glue_signed_values(argv):
@@ -178,14 +192,14 @@ def _build_parser():
     sp.add_argument("--lambda", dest="lam", default=None, help="spectral parameter RE[,IM]")
     sp.add_argument("--lambda-grid", default=None, metavar="START:STOP:COUNT",
                     help="real-axis grid instead of a single value")
-    sp.add_argument("--lambda-im", type=float, default=0.0,
+    sp.add_argument("--lambda-im", type=_finite_float, default=0.0,
                     help="imaginary part added to every grid point")
 
     sp = sub.add_parser("poles", help="singular hyperplane crossings along a real lambda line")
     common(sp)
     sp.add_argument("--mu", default="", help="K-type, e.g. 2,0 (default: zero type)")
-    sp.add_argument("--re-min", type=float, default=-10.0)
-    sp.add_argument("--re-max", type=float, default=10.0)
+    sp.add_argument("--re-min", type=_finite_float, default=-10.0)
+    sp.add_argument("--re-max", type=_finite_float, default=10.0)
 
     sp = sub.add_parser("verify", help="run self-check suites and report pass/fail")
     common(sp, with_sig=False)
@@ -231,6 +245,9 @@ def _config_from_args(args):
                 start, stop, count = float(bits[0]), float(bits[1]), int(bits[2])
             except ValueError:
                 raise _CliError("--lambda-grid must be START:STOP:COUNT") from None
+            if not (math.isfinite(start) and math.isfinite(stop - start)):
+                raise _CliError(f"--lambda-grid START, STOP and STOP - START must be finite, "
+                                f"got {args.lambda_grid!r}")
             if count < 1:
                 raise _CliError("--lambda-grid COUNT must be >= 1")
             cfg.lam_grid = (start, stop, count)
@@ -398,7 +415,7 @@ def _render_csv(report):
 
 def _emit(report, cfg):
     if cfg.fmt == "json":
-        text = json.dumps(report, separators=(",", ":"), sort_keys=False) + "\n"
+        text = json.dumps(report, separators=(",", ":"), sort_keys=False, allow_nan=False) + "\n"
     else:
         text = _render_csv(report)
     if cfg.output:
@@ -423,12 +440,12 @@ def main(argv=None):
         args = _build_parser().parse_args(_glue_signed_values(list(argv)))
         cfg = _config_from_args(args)
         report, status = run(cfg)
-    except (_CliError, ValueError) as exc:
+        _emit(report, cfg)
+    except (_CliError, ValueError, OverflowError, OSError) as exc:
         err = {"schema": SCHEMA_NAME, "command": "error",
                "error": {"type": "invalid-config", "message": str(exc)}}
         sys.stderr.write(json.dumps(err, separators=(",", ":")) + "\n")
         return 1
-    _emit(report, cfg)
     return status
 
 

@@ -239,7 +239,11 @@ class SpectralValue:
             raise ValueError("pole has no finite value")
         if self.laurent_order < 0:
             return 0.0 + 0.0j
-        return cmath.exp(self.log_coeff)
+        try:
+            return cmath.exp(self.log_coeff)
+        except OverflowError:
+            raise OverflowError(f"|value| = exp({self.log_coeff.real:.6g}) "
+                                "exceeds the double-precision range") from None
 
     def __mul__(self, other):
         if isinstance(other, SpectralValue):

@@ -251,6 +251,52 @@ class TestBoundary:
         assert all(-3.5 <= r["lambda_re"] <= -0.5 for r in json.loads(out)["rows"])
 
 
+class TestNonFiniteAndOverflow:
+    @pytest.mark.parametrize("argv,option", [
+        (["cp", "--lambda", "inf"], "--lambda"),
+        (["cp", "--lambda", "nan"], "--lambda"),
+        (["cp", "--lambda", "1e400"], "--lambda"),
+        (["spectrum", "--lambda", "3.5,-inf"], "--lambda"),
+        (["cp", "--lambda-grid", "0:inf:3"], "--lambda-grid"),
+        (["cp", "--lambda-grid", "-1e308:1e308:3"], "--lambda-grid"),
+        (["cp", "--lambda-grid", "0:1:3", "--lambda-im", "nan"], "--lambda-im"),
+        (["poles", "--re-min", "-inf"], "--re-min"),
+        (["poles", "--re-max", "inf"], "--re-max"),
+    ])
+    def test_non_finite_value_rejected_by_name(self, capsys, argv, option):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        message = one_error_object(err)["error"]["message"]
+        assert option in message and "finite" in message
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, value):
+        status, out, err = run_cli(capsys, "verify", "--suite", "recursion",
+                                   "--tolerance", f"recursion={value}")
+        assert status == 1 and out == ""
+        assert "NaN" not in err and "Infinity" not in err
+        assert f"recursion={value}" in one_error_object(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [["cp", "--lambda", "3"],
+                                      ["spectrum", "--lambda", "3", "--max-degree", "0"]])
+    def test_overflowing_value_is_an_error_object(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv, "--n", "100000", "--p", "2")
+        assert status == 1 and out == ""
+        assert "double-precision range" in one_error_object(err)["error"]["message"]
+
+    def test_unwritable_output_is_an_error_object(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "report.json")
+        status, out, err = run_cli(capsys, "cp", "--lambda", "3.5", "--output", target)
+        assert status == 1 and out == ""
+        one_error_object(err)
+
+    def test_report_never_carries_nan(self, capsys, monkeypatch):
+        monkeypatch.setattr("coslam.cli.run", lambda cfg: ({"measured": float("nan")}, 0))
+        status, out, err = run_cli(capsys, "cp", "--lambda", "3.5")
+        assert status == 1 and out == ""
+        one_error_object(err)
+
+
 def test_python_dash_m_entry_point(tmp_path):
     src = str(resources.files("coslam").parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

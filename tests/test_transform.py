@@ -136,6 +136,94 @@ class TestCosTransformSphere:
                 assert abs(r64 - ref) < tol
 
 
+class TestRingSymmetricQuadrature:
+    """cos_transform_sphere through ring symmetry against the dense sum."""
+
+    @staticmethod
+    def dense(n, lam, f, grid):
+        # The quadrature sum over every (target, node) pair, written out.
+        expo = complex(lam) - (n + 1) / 2.0
+        base = np.abs(grid.points @ grid.points.T)
+        kern = np.zeros(base.shape, dtype=complex)
+        kern[base > 0.0] = np.exp(expo * np.log(base[base > 0.0]))
+        return kern @ (grid.weights[:, None] * f.reshape(len(f), -1))
+
+    @staticmethod
+    def rotation(dim, seed):
+        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+        return q * np.sign(np.diag(r))
+
+    @pytest.mark.parametrize("n,order", [(1, 16), (2, 12)])
+    @pytest.mark.parametrize("offset", [1.3, 2.6 + 0.9j, 3.7 - 1.8j, 2.0])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_dense_sum(self, n, order, offset, stacked):
+        grid = sphere_grid(n, order)
+        assert grid.azimuths == 2 * order
+        lam = (n + 1) / 2.0 + offset
+        rng = np.random.default_rng(order)
+        f = rng.standard_normal((len(grid.weights), 3) if stacked else len(grid.weights))
+        out = cos_transform_sphere(n, lam, f, grid)
+        assert out.dtype == np.complex128 and out.shape == f.shape
+        assert np.abs(out.reshape(len(f), -1) - self.dense(n, lam, f, grid)).max() < 1e-13
+
+    @pytest.mark.parametrize("lam", [3.2, 2.9 - 0.7j])
+    def test_staggered_rings_match_dense_sum(self, lam):
+        # Each ring turned by its own phase: the kernel is then not even in
+        # the azimuth offset, so a convolution taken the wrong way round shows.
+        grid = sphere_grid(2, 12)
+        phase = np.repeat(np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, 12), 24)
+        x0, x1, z = grid.points.T
+        pts = np.stack([np.cos(phase) * x0 - np.sin(phase) * x1,
+                        np.sin(phase) * x0 + np.cos(phase) * x1, z], axis=1)
+        staggered = SphereGrid(2, pts, grid.weights, 24)
+        f = np.random.default_rng(4).standard_normal((len(pts), 2))
+        out = cos_transform_sphere(2, lam, f, staggered)
+        assert np.abs(out - self.dense(2, lam, f, staggered)).max() < 1e-13
+
+    def test_complex_values(self):
+        grid = sphere_grid(2, 12)
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(len(grid.weights)) + 1j * rng.standard_normal(len(grid.weights))
+        out = cos_transform_sphere(2, 3.9, f, grid)
+        assert np.abs(out - self.dense(2, 3.9, f, grid)[:, 0]).max() < 1e-13
+
+    @pytest.mark.parametrize("n,order", [(1, 16), (2, 12)])
+    @pytest.mark.parametrize("lam", [3.8, 3.1 + 1.2j])
+    def test_rotated_grid_gives_same_operator(self, n, order, lam):
+        # Rotating the nodes by Q (claiming no symmetry) and the function by
+        # Q^(-1) leaves every kernel value unchanged.
+        grid = sphere_grid(n, order)
+        q = self.rotation(n + 1, 17 + n)
+        rotated = SphereGrid(n, grid.points @ q.T, grid.weights)
+        assert rotated.azimuths == 1
+
+        def f(x):
+            return np.stack([np.exp(x[:, 0] - 0.5 * x[:, -1]), x[:, 1] ** 3], axis=1)
+
+        out = cos_transform_sphere(n, lam, lambda y: f(y @ q), rotated)
+        assert np.abs(out - cos_transform_sphere(n, lam, f, grid)).max() < 1e-13
+
+    def test_rejects_bad_azimuths(self):
+        grid = sphere_grid(2, 12)
+        pts, w = grid.points, grid.weights
+        for bad in (0, 5, 7):
+            with pytest.raises(ValueError):
+                SphereGrid(2, pts, w, bad)
+        for wrong in (12, 48):  # divides N, but the rings hold 24 nodes
+            with pytest.raises(ValueError):
+                SphereGrid(2, pts, w, wrong)
+        moved = pts.copy()
+        moved[30] = pts[31]
+        with pytest.raises(ValueError):
+            SphereGrid(2, moved, w, 24)
+        lifted = pts.copy()  # right azimuth, wrong height
+        lifted[30, 2] += 1e-9
+        with pytest.raises(ValueError):
+            SphereGrid(2, lifted, w, 24)
+        with pytest.raises(ValueError):  # rotated about another axis
+            SphereGrid(2, pts @ self.rotation(3, 3).T, w, 24)
+
+
 class TestFunkHecke:
     def test_normalization(self):
         assert rel_err(funk_hecke_1d(2, 0, 1.5), 1.0) < 1e-13
