@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 verification failure.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -21,6 +22,8 @@ import re
 import sys
 from dataclasses import dataclass
 from dataclasses import field as _field
+
+import numpy as np
 
 from . import verify as verify_mod
 from .spectral import (FieldTag, GrassmannSignature, c_p, enumerate_ktypes, eta,
@@ -31,6 +34,10 @@ __all__ = ["RunConfig", "main", "run"]
 SCHEMA_NAME = "coslam-report-v1"
 
 _ENV_WORKERS = "COSLAM_WORKERS"
+
+# Upper limits on the sizes an invocation may ask for.
+MAX_GRID_COUNT = 1_000_000
+MAX_DEGREE = 64
 
 
 class _CliError(Exception):
@@ -136,12 +143,11 @@ def _parse_tolerances(items):
 
 
 def _workers_arg(text):
-    # Also converts the string default taken from $COSLAM_WORKERS.
+    # Also converts $COSLAM_WORKERS, read per call rather than into the parser.
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer (from --workers or ${_ENV_WORKERS}), got {text!r}") from None
+        raise _CliError(f"--workers and ${_ENV_WORKERS} must be integers, got {text!r}") from None
 
 
 # Options whose value may be a negative number.  argparse reads a separate
@@ -165,6 +171,7 @@ def _glue_signed_values(argv):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = _Parser(prog="coslam", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -178,20 +185,19 @@ def _build_parser():
             sp.add_argument("--p", type=int, default=1, help="subspace dimension")
         sp.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
         sp.add_argument("--output", default="", help="output path (default: stdout)")
-        sp.add_argument("--workers", type=_workers_arg,
-                        default=os.environ.get(_ENV_WORKERS, "1"),
+        sp.add_argument("--workers", type=_workers_arg, default=None,
                         help=f"Monte Carlo worker streams (default ${_ENV_WORKERS} or 1)")
 
     sp = sub.add_parser("spectrum", help="table of eigenvalues over the K-type lattice")
     common(sp)
     sp.add_argument("--lambda", dest="lam", default="3.5", help="spectral parameter RE[,IM]")
-    sp.add_argument("--max-degree", type=int, default=6)
+    sp.add_argument("--max-degree", type=int, default=6, help=f"at most {MAX_DEGREE}")
 
     sp = sub.add_parser("cp", help="c-function values with pole annotations")
     common(sp)
     sp.add_argument("--lambda", dest="lam", default=None, help="spectral parameter RE[,IM]")
     sp.add_argument("--lambda-grid", default=None, metavar="START:STOP:COUNT",
-                    help="real-axis grid instead of a single value")
+                    help=f"real-axis grid instead of a single value, COUNT <= {MAX_GRID_COUNT}")
     sp.add_argument("--lambda-im", type=_finite_float, default=0.0,
                     help="imaginary part added to every grid point")
 
@@ -218,7 +224,8 @@ def _config_from_args(args):
     cfg = RunConfig(command=args.command)
     cfg.fmt = args.fmt
     cfg.output = args.output
-    cfg.workers = args.workers
+    cfg.workers = (_workers_arg(os.environ.get(_ENV_WORKERS, "1"))
+                   if args.workers is None else args.workers)
     if cfg.workers < 1:
         raise _CliError("--workers must be >= 1")
     if args.command in ("spectrum", "cp", "poles"):
@@ -230,8 +237,8 @@ def _config_from_args(args):
     if args.command == "spectrum":
         cfg.lam = _parse_complex(args.lam)
         cfg.max_degree = args.max_degree
-        if cfg.max_degree < 0:
-            raise _CliError("--max-degree must be >= 0")
+        if not 0 <= cfg.max_degree <= MAX_DEGREE:
+            raise _CliError(f"--max-degree must be in [0, {MAX_DEGREE}], got {cfg.max_degree}")
     elif args.command == "cp":
         if (args.lam is None) == (args.lambda_grid is None):
             raise _CliError("cp needs exactly one of --lambda or --lambda-grid")
@@ -248,8 +255,9 @@ def _config_from_args(args):
             if not (math.isfinite(start) and math.isfinite(stop - start)):
                 raise _CliError(f"--lambda-grid START, STOP and STOP - START must be finite, "
                                 f"got {args.lambda_grid!r}")
-            if count < 1:
-                raise _CliError("--lambda-grid COUNT must be >= 1")
+            if not 1 <= count <= MAX_GRID_COUNT:
+                raise _CliError(f"--lambda-grid COUNT must be in [1, {MAX_GRID_COUNT}], "
+                                f"got {count}")
             cfg.lam_grid = (start, stop, count)
             cfg.lam = complex(start, args.lambda_im)
     elif args.command == "poles":
@@ -278,33 +286,23 @@ def _config_from_args(args):
 
 def _cmd_spectrum(cfg):
     sig = cfg.signature()
-    rows = []
-    for mu in enumerate_ktypes(sig, cfg.max_degree):
-        row = {
-            "mu": list(mu.m),
-            "degree": mu.degree,
-            "omega": omega(sig, mu),
-            "eta": eta(sig, mu, cfg.lam).to_json(),
-        }
-        row["nu"] = nu(sig, mu, cfg.lam).to_json() if sig.split_rank_equal else None
-        rows.append(row)
+    mus = enumerate_ktypes(sig, cfg.max_degree)
+    etas = eta(sig, mus, cfg.lam)
+    nus = nu(sig, mus, cfg.lam) if sig.split_rank_equal else [None] * len(mus)
+    rows = [{"mu": list(mu.m), "degree": mu.degree, "omega": omega(sig, mu),
+             "eta": e.to_json(), "nu": None if v is None else v.to_json()}
+            for mu, e, v in zip(mus, etas, nus)]
     return {"rows": rows}, 0
 
 
 def _cmd_cp(cfg):
     sig = cfg.signature()
-    if cfg.lam_grid:
-        start, stop, count = cfg.lam_grid
-        if count == 1:
-            res = [start]
-        else:
-            step = (stop - start) / (count - 1)
-            res = [start + i * step for i in range(int(count))]
-        lams = [complex(x, cfg.lam.imag) for x in res]
-    else:
-        lams = [cfg.lam]
-    rows = [{"lambda": {"re": lam.real, "im": lam.imag}, "cp": c_p(sig, lam).to_json()}
-            for lam in lams]
+    start, stop, count = cfg.lam_grid or (cfg.lam.real, cfg.lam.real, 1)
+    lams = np.full(count, cfg.lam)
+    if count > 1:
+        lams.real = start + np.arange(count) * ((stop - start) / (count - 1))
+    rows = [{"lambda": {"re": lam.real, "im": lam.imag}, "cp": v.to_json()}
+            for lam, v in zip(lams.tolist(), c_p(sig, lams))]
     return {"rows": rows}, 0
 
 
@@ -345,11 +343,9 @@ def _eta_factor_hits(sig, mu, re_min, re_max):
 def _cmd_poles(cfg):
     sig = cfg.signature()
     mu = ktype(sig, cfg.mu) if cfg.mu else ktype(sig, (0,) * sig.p)
-    rows = []
-    for hit in _eta_factor_hits(sig, mu, cfg.re_min, cfg.re_max):
-        net = eta(sig, mu, complex(hit["lambda_re"], 0.0))
-        rows.append({**hit, "eta": net.to_json()})
-    return {"rows": rows}, 0
+    hits = _eta_factor_hits(sig, mu, cfg.re_min, cfg.re_max)
+    nets = eta(sig, mu, np.array([hit["lambda_re"] for hit in hits]))
+    return {"rows": [{**hit, "eta": net.to_json()} for hit, net in zip(hits, nets)]}, 0
 
 
 def _cmd_verify(cfg):

@@ -5,46 +5,18 @@ Everything here is a pure function of its inputs; there is no shared state,
 so all routines are safe to call concurrently.
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, gammasgn, loggamma
 
 __all__ = [
     "GammaPole",
     "QuadratureRule1D",
-    "is_gamma_pole",
     "log_gamma",
     "gegenbauer",
     "gauss_legendre",
 ]
-
-# Lanczos approximation with Godfrey's g = 607/128, 15-term coefficient set.
-# The popular g = 7 / 9-term set tops out around 2e-13 relative at the far
-# corner of the working strip (Re z near 50, |Im z| near 50); this one stays
-# a couple of orders below the 1e-13 budget everywhere we evaluate.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C0 = 0.99999999999999709182
-_LANCZOS_COEFFS = (
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_LOG_2PI = math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
 
 #: Distance below which an argument counts as sitting on a Gamma pole.
 POLE_TOL = 1e-14
@@ -58,57 +30,47 @@ class GammaPole(ArithmeticError):
         self.k = k  # pole at z = -k, k >= 0
 
 
-def is_gamma_pole(z, tol=POLE_TOL):
-    """Return the pole index k >= 0 if z is within tol of -k, else None."""
-    z = complex(z)
-    if abs(z.imag) > tol:
-        return None
-    k = round(z.real)
-    if k > 0 or abs(z.real - k) > tol:
-        return None
-    return -k
+def log_gamma(z, residual=None, log_slope=None):
+    """Principal-branch log Gamma, elementwise (a complex for a scalar z).
+    Real arguments go through scipy's gammaln and gammasgn, all others
+    through complex loggamma.
 
+    `residual` (real) gives log Gamma(z + residual) for an offset below the
+    rounding of z, such as a TwoSum error: where the nearest integer k to
+    Re z is <= 0 the pole term -log1p(residual / (z - k)) is added.
 
-def _log_sin_pi(z):
-    # log(sin(pi z)) computed from the dominant exponential so that large
-    # |Im z| cannot overflow.  The imaginary part may differ from the
-    # principal branch by a multiple of 2*pi*i, which is harmless under exp.
-    log_2i = math.log(2.0) + 0.5j * math.pi
-    if z.imag >= 0.0:
-        # sin(pi z) = -e^{-i pi z} (1 - e^{2 pi i z}) / (2i) * (-1)
-        return -1j * math.pi * z + cmath.log(cmath.exp(2j * math.pi * z) - 1.0) - log_2i
-    return 1j * math.pi * z + cmath.log(1.0 - cmath.exp(-2j * math.pi * z)) - log_2i
-
-
-def log_gamma(z):
-    """Principal-branch log Gamma via the Lanczos approximation.
-
-    Accurate to ~1e-13 relative (after exponentiation) for Re z >= 0.5 and
-    |Im z| <= 50; the reflection formula extends the domain to the left half
-    plane, where the imaginary part is only guaranteed modulo 2*pi.
-
-    Raises GammaPole if z sits on a non-positive integer (within 1e-14).
+    An element within 1e-14 (in modulus) of a pole -k raises GammaPole,
+    unless log_slope, the log of dz/dlambda for z a function of lambda, is
+    given.  Then the result is (pole, logs): pole flags those elements, and
+    their log is that of the leading Laurent coefficient of Gamma(z(lambda))
+    in lambda, (-1)^k / (k! dz/dlambda).  A non-finite z raises ValueError.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    z = np.asarray(z, dtype=complex)
+    if np.count_nonzero(np.isfinite(z)) != z.size:
         raise ValueError(f"log_gamma argument must be finite, got {z}")
-    k = is_gamma_pole(z)
-    if k is not None:
-        raise GammaPole(k)
-    if z.real < 0.5:
-        # Reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1-z).
-        return _LOG_PI - _log_sin_pi(z) - log_gamma(1.0 - z)
-    zz = z - 1.0
-    series = _LANCZOS_C0
-    for i, c in enumerate(_LANCZOS_COEFFS):
-        series += c / (zz + (i + 1))
-    t = zz + _LANCZOS_G + 0.5
-    return 0.5 * _LOG_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(series)
-
-
-def gamma_pole_residue_log(k):
-    """log of the residue of Gamma at z = -k, i.e. log((-1)^k / k!)."""
-    return -math.lgamma(k + 1.0) + 1j * math.pi * k
+    near = np.rint(z.real)
+    dz = z - near
+    left = near <= 0.0
+    pole = (np.abs(dz) <= POLE_TOL) & left
+    any_pole = np.count_nonzero(pole)
+    if any_pole:
+        if log_slope is None:
+            raise GammaPole(int(-near[pole][0]))
+        z = np.where(pole, 1.0, z)
+        left &= ~pole
+    real = z.imag == 0.0
+    x = np.where(real, z.real, 1.0)
+    out = gammaln(x) + np.log(gammasgn(x).astype(complex))
+    if np.count_nonzero(real) != real.size:
+        out = np.where(real, out, loggamma(z))
+    if residual is not None and np.count_nonzero(left):
+        out = out - np.log1p(residual / np.where(left, dz, np.inf))
+    if any_pole:
+        k = np.where(pole, -near, 0.0)
+        out = np.where(pole, 1j * np.pi * k - gammaln(k + 1.0) - log_slope, out)
+    if log_slope is not None:
+        return pole, out
+    return complex(out) if out.ndim == 0 else out
 
 
 def gegenbauer(m, nu, t):

@@ -5,7 +5,8 @@ L^2 of the Grassmannian (the K-types, indexed by p-tuples of even integers).
 This module implements:
 
 * the product-of-Gammas function gindikin_gamma underlying every closed form,
-* the closed forms c_p, eta, nu and the sphere specialization sphere_eta,
+* the closed forms c_p, eta, nu (one vectorized Gindikin-Gamma ratio over
+  arrays of lambda and K-types) and the sphere specialization sphere_eta,
 * the adjacent-type step ratio and the spectrum-generating recursion that
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, adjacency, Casimir eigenvalue).
@@ -18,11 +19,14 @@ Everything is a pure function of immutable values; thread-safe throughout.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .scalar import gamma_pole_residue_log, is_gamma_pole, log_gamma
+import numpy as np
+
+from .scalar import log_gamma
 
 __all__ = [
     "FieldTag",
@@ -259,16 +263,6 @@ class SpectralValue:
                                  self.log_coeff - other.log_coeff)
         return self / SpectralValue.finite(other)
 
-    def _mul_linear(self, value, slope, power=1):
-        # Multiply by ell(lambda)^power where ell has the given value and
-        # d ell/d lambda at the evaluation point.  An exact zero of ell turns
-        # into an order marker with the slope as leading coefficient.
-        if value == 0:
-            return SpectralValue(self.laurent_order - power,
-                                 self.log_coeff + power * cmath.log(complex(slope)))
-        return SpectralValue(self.laurent_order,
-                             self.log_coeff + power * cmath.log(complex(value)))
-
     def to_json(self):
         if self.is_pole:
             return {"tag": "pole", "order": self.order}
@@ -292,22 +286,25 @@ class GammaProduct:
     a'(lambda); when a sits on a pole of Gamma the factor contributes
     residue/(slope (lambda-lambda_0)), so the leading Laurent coefficient in
     lambda stays exact and removable singularities cancel correctly.
+    Starts from `start` (a SpectralValue) if given, else from 1.
     """
 
-    def __init__(self):
-        self._order = 0
-        self._log = 0.0 + 0.0j
+    def __init__(self, start=None):
+        self._order = 0 if start is None else start.laurent_order
+        self._log = 0.0 + 0.0j if start is None else start.log_coeff
 
     def mul_gamma(self, z, slope=1.0, power=1):
-        k = is_gamma_pole(z)
-        if k is not None:
-            self._order += power
-            self._log += power * (gamma_pole_residue_log(k) - cmath.log(complex(slope)))
-        else:
-            self._log += power * log_gamma(z)
+        """Multiply by Gamma(z)^power; z, slope and power broadcast together."""
+        power = np.asarray(power)
+        pole, lg = log_gamma(z, log_slope=np.log(np.asarray(slope, dtype=complex)))
+        self._order += int((power * pole).sum())
+        self._log += complex((power * lg).sum())
         return self
 
     def mul_linear(self, value, slope, power=1):
+        # Multiply by ell(lambda)^power where ell has the given value and
+        # d ell/d lambda at the evaluation point.  An exact zero of ell turns
+        # into an order marker with the slope as leading coefficient.
         if value == 0:
             self._order -= power
             self._log += power * cmath.log(complex(slope))
@@ -340,23 +337,8 @@ def gindikin_gamma(p, d, v):
     v = tuple(v)
     if len(v) != p:
         raise ValueError(f"argument tuple has length {len(v)}, expected {p}")
-    gp = GammaProduct()
-    for j, vj in enumerate(v):
-        gp.mul_gamma(complex(vj) - 0.5 * d * j)
-    return gp.value()
-
-
-def _mul_gindikin(gp, sig, sign, lam, const, shifts, power):
-    # Gamma_{p,d} of the tuple ((sign*lam + const + shifts_j)/2)_j, sign in
-    # {-1, 0, +1}.  Component j is Gamma((sign*lam + c_j)/2) with
-    # c_j = const + shifts_j - d*j, an exact (half-)integer, so each argument
-    # is rounded once and the halving is exact.  Near a singular hyperplane
-    # the relative error is the argument's rounding over its distance to the
-    # pole, so every extra rounding would show there.
-    d = sig.d
-    lam = sign * lam
-    for j in range(sig.p):
-        gp.mul_gamma(0.5 * (lam + (const + shifts[j] - d * j)), slope=0.5 * sign, power=power)
+    z = np.asarray(v, dtype=complex) - 0.5 * d * np.arange(p)
+    return GammaProduct().mul_gamma(z).value()
 
 
 def enumerate_ktypes(sig, max_degree):
@@ -421,8 +403,88 @@ def omega(sig, mu):
 # ---------------------------------------------------------------------------
 
 
-def _shifts(sig, mu=None):
-    return (0,) * sig.p if mu is None else mu.m
+@functools.lru_cache(maxsize=256)
+def _plan(sig, kind, zero_mu=False):
+    """Factor columns of the closed form of eta or nu, and its constant head.
+
+    A form is a sign flag for (-1)^(|mu|/2), head entries (c, w) for
+    Gamma_{p,d}(c/2)^w and groups (s, c, shifted, w) for
+    Gamma_{p,d}((s*lambda + c + mu)/2)^w, mu only if shifted.  Component j
+    is Gamma at half_sign*lambda + half_base + m_j/2, half of an exact
+    (half-)integer c + m_j - d*j.  With zero_mu (mu = 0) the groups that
+    then cancel in pairs are left out.
+    """
+    rho, d, p = sig.rho, sig.d, sig.p
+    if kind == "nu":
+        signed, head, first = False, ((2.0 * rho, +1), (rho, -1)), (+1, 0.0, False, +1)
+    else:
+        signed, head = True, ((d * (sig.n + 1), +1), (d * p, -1))
+        first = (+1, -rho + d * p, False, +1)
+    groups = (first, (-1, rho, True, +1), (-1, rho, False, -1), (+1, rho, True, -1))
+    if zero_mu:
+        groups = [(s, c, False, w) for s, c, _, w in groups]
+        groups = [g for g in groups if (g[0], g[1], False, -g[3]) not in groups]
+    j = np.arange(p)
+    half_sign = 0.5 * np.repeat([g[0] for g in groups], p)
+    return {
+        "sign_pi": 1j * np.pi if signed else 0.0,
+        "head_log": complex(sum(w * log_gamma(0.5 * (c - d * j)).sum() for c, w in head)),
+        "half_sign": half_sign,
+        "half_base": 0.5 * np.concatenate([g[1] - d * j for g in groups]),
+        "half_shift": np.hstack([0.5 * g[2] * np.eye(p) for g in groups]),
+        "power": np.repeat([g[3] for g in groups], p),
+        "log_slope": np.log(half_sign.astype(complex)),  # for residues at poles
+    }
+
+
+# Gamma arguments per numpy pass; longer lambda arrays run in blocks.
+_BLOCK = 1 << 18
+
+
+def _gindikin_block(plan, c, lam):
+    """Order and log of the lambda-dependent factors for the halved
+    constants c (k, 1, F) and lambda (1, l, 1): arrays of shape (k, l)."""
+    half_sign = plan["half_sign"]
+    a = half_sign * lam.real
+    # TwoSum: a + c = x + e exactly.  The argument is evaluated at x and the
+    # error e enters through the pole term of log_gamma, so near a singular
+    # hyperplane the distance to the pole is not rounded away.
+    x = np.add(a, c, order="C")
+    t = x - a
+    e = (a - (x - t)) + (c - t)
+    z = x.astype(complex)
+    z.imag = half_sign * lam.imag
+    pole, lg = log_gamma(z, e, plan["log_slope"])
+    # A C-ordered product makes every row sum in the same (pairwise) order,
+    # whatever the number of rows, so array calls equal scalar calls.
+    power = plan["power"]
+    return (power * pole).sum(-1), np.multiply(power, lg, order="C").sum(-1)
+
+
+def _gindikin_ratio(sig, mu, lam, kind):
+    """A closed form over K-types mu (one, a sequence, or None for the zero
+    K-type) and lambdas lam; every cell is the same elementwise computation."""
+    plan = _plan(sig, kind, mu is None)
+    single = mu is None or isinstance(mu, KType) or (
+        len(mu) and np.ndim(mu[0]) == 0 and not isinstance(mu[0], KType))
+    ms = [(0,) * sig.p] if mu is None else [ktype(sig, m).m for m in ([mu] if single else mu)]
+    kshape = () if single else (len(ms),)
+    c = plan["half_base"] + np.reshape(ms, (len(ms), sig.p)) @ plan["half_shift"]
+    degree = np.array([sum(m) for m in ms])
+    lam = np.asarray(lam, dtype=complex)
+    if np.count_nonzero(np.isfinite(lam)) != lam.size:
+        raise ValueError("lambda must be finite")
+    lshape, lam = lam.shape, lam.reshape(-1)
+    step = max(1, _BLOCK // max(1, c.size))
+    order, log = zip(*(_gindikin_block(plan, c[:, None, :], lam[None, l0:l0 + step, None])
+                       for l0 in range(0, max(len(lam), 1), step)))
+    order = np.hstack(order)
+    log = np.hstack(log) + np.reshape(plan["head_log"] + plan["sign_pi"] * (degree // 2), (-1, 1))
+    if not kshape and not lshape:
+        return SpectralValue(int(order[0, 0]), complex(log[0, 0]))
+    out = np.empty(order.size, dtype=object)
+    out[:] = [SpectralValue(o, g) for o, g in zip(order.ravel().tolist(), log.ravel().tolist())]
+    return out.reshape(kshape + lshape)
 
 
 def c_p(sig, lam):
@@ -432,16 +494,10 @@ def c_p(sig, lam):
                   * Gamma_{p,d}((lambda - rho + dp)/2) / Gamma_{p,d}((lambda + rho)/2),
 
     all Gindikin arguments being constant tuples (z, ..., z).  Meromorphic in
-    lambda; pole/zero markers are returned on the singular set.
+    lambda; pole/zero markers are returned on the singular set.  This is
+    eta at mu = 0, and takes an array of lambdas as eta does.
     """
-    lam = complex(lam)
-    z = _shifts(sig)
-    gp = GammaProduct()
-    _mul_gindikin(gp, sig, 0, 0.0, sig.d * (sig.n + 1), z, +1)
-    _mul_gindikin(gp, sig, 0, 0.0, sig.d * sig.p, z, -1)
-    _mul_gindikin(gp, sig, +1, lam, -sig.rho + sig.d * sig.p, z, +1)
-    _mul_gindikin(gp, sig, +1, lam, sig.rho, z, -1)
-    return gp.value()
+    return _gindikin_ratio(sig, None, lam, "eta")
 
 
 def eta(sig, mu, lam):
@@ -452,19 +508,12 @@ def eta(sig, mu, lam):
         / (Gamma_{p,d}((-lambda+rho)/2) Gamma_{p,d}((lambda+rho+mu)/2))
 
     where (z+mu)/2 is the tuple ((z+m_j)/2)_j.  eta(sig, 0, lam) == c_p(sig, lam).
+
+    mu may be a sequence of K-types and lam an array: the result is then an
+    object array of shape (len(mu),) + lam.shape (no first axis for one
+    K-type), each element equal to its scalar call.
     """
-    mu = ktype(sig, mu)
-    lam = complex(lam)
-    z = _shifts(sig)
-    gp = GammaProduct()
-    gp.mul_sign(mu.degree // 2)
-    _mul_gindikin(gp, sig, 0, 0.0, sig.d * (sig.n + 1), z, +1)
-    _mul_gindikin(gp, sig, 0, 0.0, sig.d * sig.p, z, -1)
-    _mul_gindikin(gp, sig, +1, lam, -sig.rho + sig.d * sig.p, z, +1)
-    _mul_gindikin(gp, sig, -1, lam, sig.rho, mu.m, +1)
-    _mul_gindikin(gp, sig, -1, lam, sig.rho, z, -1)
-    _mul_gindikin(gp, sig, +1, lam, sig.rho, mu.m, -1)
-    return gp.value()
+    return _gindikin_ratio(sig, mu, lam, "eta")
 
 
 def eta_step_ratio(sig, mu, j, lam):
@@ -520,14 +569,14 @@ def eta_by_recursion(sig, mu, lam, path=None):
         path = _monotone_path(mu)
     scale = sig.p * sig.q / (sig.n + 1.0)
     r2 = 2.0 * lam * scale  # 2r
-    val = c_p(sig, lam)
+    gp = GammaProduct(c_p(sig, lam))
     for cur, nxt in path:
         if not (_is_dominant(sig, cur) and _is_dominant(sig, nxt)):
             raise ValueError(f"path step {cur} -> {nxt} leaves the lattice")
         dw = omega(sig, nxt) - omega(sig, cur)
-        val = val._mul_linear(r2 - dw, 2.0 * scale, +1)
-        val = val._mul_linear(r2 + dw, 2.0 * scale, -1)
-    return val
+        gp.mul_linear(r2 - dw, 2.0 * scale, +1)
+        gp.mul_linear(r2 + dw, 2.0 * scale, -1)
+    return gp.value()
 
 
 def nu(sig, mu, lam):
@@ -537,21 +586,12 @@ def nu(sig, mu, lam):
         * Gamma_{p,d}(lambda/2) Gamma_{p,d}((-lambda+rho+mu)/2)
         / (Gamma_{p,d}((-lambda+rho)/2) Gamma_{p,d}((lambda+rho+mu)/2))
 
-    with rho = dp.  Equals (-1)^(|mu|/2) eta_mu(lambda).
+    with rho = dp.  Equals (-1)^(|mu|/2) eta_mu(lambda).  Takes arrays of
+    K-types and lambdas as eta does.
     """
     if not sig.split_rank_equal:
         raise ValueError("the sine transform needs p = q")
-    mu = ktype(sig, mu)
-    lam = complex(lam)
-    z = _shifts(sig)
-    gp = GammaProduct()
-    _mul_gindikin(gp, sig, 0, 0.0, 2.0 * sig.rho, z, +1)
-    _mul_gindikin(gp, sig, 0, 0.0, sig.rho, z, -1)
-    _mul_gindikin(gp, sig, +1, lam, 0, z, +1)
-    _mul_gindikin(gp, sig, -1, lam, sig.rho, mu.m, +1)
-    _mul_gindikin(gp, sig, -1, lam, sig.rho, z, -1)
-    _mul_gindikin(gp, sig, +1, lam, sig.rho, mu.m, -1)
-    return gp.value()
+    return _gindikin_ratio(sig, mu, lam, "nu")
 
 
 def sphere_eta(n, m, lam):
@@ -573,10 +613,8 @@ def sphere_eta(n, m, lam):
     rho = (n + 1) / 2.0
     gp = GammaProduct()
     gp.mul_sign(m // 2)
-    gp.mul_gamma(rho)
-    gp.mul_gamma(0.5, power=-1)
-    gp.mul_gamma(0.5 * (lam - rho + 1.0), slope=0.5)
-    gp.mul_gamma(0.5 * (lam + rho + m), slope=0.5, power=-1)
+    gp.mul_gamma([rho, 0.5, 0.5 * (lam - rho + 1.0), 0.5 * (lam + rho + m)],
+                 slope=[1.0, 1.0, 0.5, 0.5], power=[1, -1, 1, -1])
     for k in range(m // 2):
         gp.mul_linear(0.5 * (-lam + rho + 2.0 * k), -0.5)
     return gp.value()

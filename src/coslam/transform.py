@@ -477,14 +477,10 @@ def selberg_closed(p, alpha, g1, g2):
     if p < 1:
         raise ValueError("p must be >= 1")
     alpha, g1, g2 = complex(alpha), complex(g1), complex(g2)
-    gp = GammaProduct()
-    for j in range(1, p + 1):
-        gp.mul_gamma(alpha * j + 1.0)
-        gp.mul_gamma(alpha * (j - 1) + g1)
-        gp.mul_gamma(alpha * (j - 1) + g2)
-        gp.mul_gamma(alpha + 1.0, power=-1)
-        gp.mul_gamma(alpha * (p + j - 2) + g1 + g2, power=-1)
-    return gp.value()
+    j = np.arange(1, p + 1)
+    z = np.stack([alpha * j + 1.0, alpha * (j - 1) + g1, alpha * (j - 1) + g2,
+                  np.full(p, alpha + 1.0), alpha * (p + j - 2) + g1 + g2], axis=1)
+    return GammaProduct().mul_gamma(z, power=[1, 1, 1, -1, -1]).value()
 
 
 def _jacobi_01(order, exp0, exp1):

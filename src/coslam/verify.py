@@ -47,9 +47,9 @@ def run_recursion(seed, samples, workers, grid_order, tol=1e-10):
     cases = 0
     for sig in _signatures(4):
         lams = _random_lambdas(rng, 4)
-        for mu in spectral.enumerate_ktypes(sig, 8):
-            for lam in lams:
-                a = spectral.eta(sig, mu, lam).value
+        mus = spectral.enumerate_ktypes(sig, 8)
+        for mu, closed in zip(mus, spectral.eta(sig, mus, lams)):
+            for lam, a in zip(lams, (v.value for v in closed)):
                 b = spectral.eta_by_recursion(sig, mu, lam).value
                 worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
                 cases += 1
@@ -65,8 +65,8 @@ def run_functional_equation(seed, samples, workers, grid_order, tol=1e-11):
         mus = spectral.enumerate_ktypes(sig, 8)
         mu = mus[rng.integers(len(mus))]
         lam = _random_lambdas(rng, 1)[0]
-        lhs = (spectral.eta(sig, mu, lam) * spectral.eta(sig, mu, -lam)).value
-        rhs = (spectral.c_p(sig, lam) * spectral.c_p(sig, -lam)).value
+        lhs = spectral.eta(sig, mu, [lam, -lam]).prod().value
+        rhs = spectral.c_p(sig, [lam, -lam]).prod().value
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return _suite("functional-equation", tol, worst, "200 random cases")
 

@@ -309,3 +309,52 @@ def test_python_dash_m_entry_point(tmp_path):
     report = json.loads(proc.stdout)
     check(report)
     assert abs(report["rows"][0]["cp"]["re"] - 1.0 / 3.0) < 1e-13
+
+
+class TestParserAndLimits:
+    def test_parser_built_once(self):
+        from coslam import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_workers_env_read_per_call(self, capsys, monkeypatch):
+        # the parser is cached, so $COSLAM_WORKERS must be read at call time
+        workers = []
+        for value in ("3", "5"):
+            monkeypatch.setenv("COSLAM_WORKERS", value)
+            status, out, _ = run_cli(capsys, "verify", "--suite", "normalization")
+            assert status == 0
+            workers.append(json.loads(out)["config"]["workers"])
+        monkeypatch.delenv("COSLAM_WORKERS")
+        status, out, _ = run_cli(capsys, "verify", "--suite", "normalization", "--workers", "2")
+        workers.append(json.loads(out)["config"]["workers"])
+        status, out, _ = run_cli(capsys, "verify", "--suite", "normalization")
+        workers.append(json.loads(out)["config"]["workers"])
+        assert workers == [3, 5, 2, 1]
+
+    @pytest.mark.parametrize("argv,option", [
+        (["cp", "--lambda-grid", "0:1:1000001"], "--lambda-grid"),
+        (["cp", "--lambda-grid", "0:1:0"], "--lambda-grid"),
+        (["spectrum", "--max-degree", "65"], "--max-degree"),
+        (["spectrum", "--max-degree", "-2"], "--max-degree"),
+    ])
+    def test_size_limits(self, capsys, argv, option):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert option in one_error_object(err)["error"]["message"]
+
+    def test_largest_degree_accepted(self, capsys):
+        status, out, _ = run_cli(capsys, "spectrum", "--max-degree", "64")
+        assert status == 0
+        assert len(json.loads(out)["rows"]) == 33
+
+    def test_grid_rows_match_scalar_calls(self, capsys):
+        status, out, _ = run_cli(capsys, "cp", "--field", "H", "--n", "3", "--p", "2",
+                                 "--lambda-grid", "-6:6:49", "--lambda-im", "0")
+        assert status == 0
+        sig = GrassmannSignature(3, 2, FieldTag.QUATERNION)
+        rows = json.loads(out)["rows"]
+        assert {row["cp"]["tag"] for row in rows} == {"pole", "finite"}
+        for row in rows:
+            lam = complex(row["lambda"]["re"], row["lambda"]["im"])
+            assert row["cp"] == c_p(sig, lam).to_json()
