@@ -38,6 +38,9 @@ _ENV_WORKERS = "COSLAM_WORKERS"
 # Upper limits on the sizes an invocation may ask for.
 MAX_GRID_COUNT = 1_000_000
 MAX_DEGREE = 64
+MAX_SAMPLES = 100_000_000
+MAX_WORKERS = 1_024
+MAX_GRID_ORDER = 128  # the quadrature suite powers 2 * order^3 kernel entries
 
 
 class _CliError(Exception):
@@ -186,7 +189,8 @@ def _build_parser():
         sp.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
         sp.add_argument("--output", default="", help="output path (default: stdout)")
         sp.add_argument("--workers", type=_workers_arg, default=None,
-                        help=f"Monte Carlo worker streams (default ${_ENV_WORKERS} or 1)")
+                        help=f"Monte Carlo worker streams, at most {MAX_WORKERS} "
+                             f"(default ${_ENV_WORKERS} or 1)")
 
     sp = sub.add_parser("spectrum", help="table of eigenvalues over the K-type lattice")
     common(sp)
@@ -213,8 +217,8 @@ def _build_parser():
                     help="suite name (repeatable); default: all of "
                          + ", ".join(verify_mod.SUITE_NAMES))
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--grid-order", type=int, default=32)
+    sp.add_argument("--samples", type=int, default=100_000, help=f"at most {MAX_SAMPLES}")
+    sp.add_argument("--grid-order", type=int, default=32, help=f"at most {MAX_GRID_ORDER}")
     sp.add_argument("--tolerance", action="append", default=None, metavar="NAME=VALUE",
                     help="override a suite tolerance (repeatable)")
     return parser
@@ -226,8 +230,8 @@ def _config_from_args(args):
     cfg.output = args.output
     cfg.workers = (_workers_arg(os.environ.get(_ENV_WORKERS, "1"))
                    if args.workers is None else args.workers)
-    if cfg.workers < 1:
-        raise _CliError("--workers must be >= 1")
+    if not 1 <= cfg.workers <= MAX_WORKERS:
+        raise _CliError(f"--workers must be in [1, {MAX_WORKERS}], got {cfg.workers}")
     if args.command in ("spectrum", "cp", "poles"):
         cfg.field, cfg.n, cfg.p = args.field, args.n, args.p
         try:
@@ -276,6 +280,11 @@ def _config_from_args(args):
         cfg.tolerances = _parse_tolerances(args.tolerance)
         if cfg.samples < 2:
             raise _CliError("--samples must be >= 2 (the standard error needs two samples)")
+        if cfg.samples > MAX_SAMPLES:
+            raise _CliError(f"--samples must be at most {MAX_SAMPLES}, got {cfg.samples}")
+        if not 1 <= cfg.grid_order <= MAX_GRID_ORDER:
+            raise _CliError(f"--grid-order must be in [1, {MAX_GRID_ORDER}], "
+                            f"got {cfg.grid_order}")
     return cfg
 
 

@@ -256,26 +256,25 @@ def torus_point(sig, t):
 # ---------------------------------------------------------------------------
 
 
-def _ginibre(sig, rng, count, cols=None):
-    """count Ginibre matrices as a stacked realization, first `cols` field columns.
+def _normal_parts(sig, rng, count):
+    """The real parts of count Ginibre matrices, each (count, n+1, n+1).
 
-    The full (count, n+1, n+1) real parts are always drawn, in a fixed order
-    (R: one part; C: re, im; H: alpha re, alpha im, beta re, beta im), and
-    sliced to `cols` before they are combined.  So the generator advances
-    the same whatever `cols` is, and the kept columns are the same numbers.
+    Drawn in a fixed order (R: one part; C: re, im; H: alpha re, alpha im,
+    beta re, beta im), so every sampler that starts here advances rng alike.
     """
     n1 = sig.n + 1
+    parts = {FieldTag.REAL: 1, FieldTag.COMPLEX: 2, FieldTag.QUATERNION: 4}[sig.field]
+    return [rng.standard_normal((count, n1, n1)) for _ in range(parts)]
 
-    def part():
-        return rng.standard_normal((count, n1, n1))[:, :, :cols]
 
+def _ginibre(sig, rng, count):
+    """count Ginibre matrices as a stacked realization."""
+    parts = _normal_parts(sig, rng, count)
     if sig.field is FieldTag.REAL:
-        return part()
+        return parts[0]
     if sig.field is FieldTag.COMPLEX:
-        return part() + 1j * part()
-    alpha = part() + 1j * part()
-    beta = part() + 1j * part()
-    return quat_embed(alpha, beta)
+        return parts[0] + 1j * parts[1]
+    return quat_embed(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
 
 
 def haar_batch(sig, rng, count):
@@ -305,16 +304,27 @@ def haar_batch(sig, rng, count):
 
 
 def frame_batch(sig, rng, count):
-    """The Gaussian p-frames G behind haar_batch(sig, rng, count).
+    """The Gaussian p-frames G behind haar_batch(sig, rng, count), samples last.
 
     G is the first p field columns of the same Ginibre draw, and rng
-    advances exactly as under haar_batch.  Column k of the QR or
-    Gram-Schmidt factor depends only on columns 1..k of the draw, so the
-    first p columns of the Haar sample are Q = G T with T invertible and
-    T T* = (G* G)^(-1).  Any |det| of p rows of Q and their Frobenius norm
-    are therefore functions of G alone.
+    advances exactly as under haar_batch.  The result has shape
+    (p, u, n+1, count): field column, part, row, sample.  R and C entries
+    have one part (u = 1); a quaternion a + b j keeps its complex parts
+    a and b (u = 2), with no 2 x 2 realization.
+
+    Column k of the QR or Gram-Schmidt factor depends only on columns 1..k
+    of the draw, and the phase fix gives the QR the positive real diagonal
+    of Gram-Schmidt, so the first p columns of the Haar sample are the
+    Gram-Schmidt frame of G (the determinant correction only touches column
+    n+1).  Any |det| of p rows of that frame and their Frobenius norm are
+    therefore functions of G alone.
     """
-    return _ginibre(sig, rng, count, cols=sig.p)
+    out = np.empty((sig.p, _units(sig.field), sig.n + 1, count), dtype=_dtype(sig.field))
+    comps = 1 if sig.field is FieldTag.REAL else 2  # reals per entry
+    flat = out.view(np.float64)  # re, im interleaved along the sample axis
+    for i, part in enumerate(_normal_parts(sig, rng, count)):
+        flat[:, i // comps, :, i % comps::comps] = part[:, :, :sig.p].transpose(2, 1, 0)
+    return out
 
 
 def _quat_mgs(m):

@@ -28,18 +28,24 @@ no symmetry, and the same code is then the dense sum.
 Monte Carlo estimators: every integrand reads only the first p columns
 k.b_o of a Haar sample k, i.e. the orthonormalized p-frame of the Ginibre
 draw behind geometry.haar_batch.  The estimators read that Gaussian frame G
-(geometry.frame_batch, the same numbers from the same stream) and evaluate
+(geometry.frame_batch: the same numbers from the same stream, laid out
+samples last) and run one batched Gram-Schmidt over its p field columns,
+each step a vector operation over the whole batch.  With Q the resulting
+orthonormal frame,
 
-    alpha_p(k) = |det_K G_rows| / |det_K(G* G)|^(1/2),
-    |k_top|_F^2 = tr(G_top (G* G)^(-1) G_top*)   (halved for H),
+    alpha_p(k) = prod GS-norms(G_rows) / prod GS-norms(G),
+    |k_top|_F^2 = |Q_top|_F^2,
 
-which is exact.  The first p columns of k are G T with T T* = (G* G)^(-1),
-so |det(G_rows T)| = |det G_rows| / det(G* G)^(1/2) and |G_top T|_F^2 is the
-trace above; haar_batch's phase fix only scales columns by unit scalars and
-its determinant correction only touches column n+1.  So each estimate equals
-the one computed from full Haar matrices to rounding, without the
-(n+1) x (n+1) QR or the quaternionic Gram-Schmidt, and the acceptance seeds
-keep their realizations.
+which is exact.  The first p columns of k are Q: haar_batch's phase fix
+gives its QR the positive real diagonal that Gram-Schmidt has, and its
+determinant correction only touches column n+1.  A product of Gram-Schmidt
+norms of a square matrix is its |det_K|, and for G = Q R it is |det_K R| on
+the whole frame, so the ratio is |det_K Q_rows|.  Each estimate therefore
+equals the one computed from full Haar matrices to rounding, without the
+(n+1) x (n+1) QR, and the acceptance seeds keep their realizations.  A
+quaternionic column stays a pair of complex columns a + b j; its inner
+product and right scalar multiple are written out in a and b, so nothing
+builds the 2 x 2 complex realization.
 
 Monte Carlo error model: plain sample standard error; the integrands are
 bounded on the convergence region so the CLT applies.  A master seed is split
@@ -57,9 +63,9 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 # haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
-from .geometry import _abs_det_field, _units, frame_batch, haar_batch  # noqa: F401
+from .geometry import frame_batch, haar_batch  # noqa: F401
 from .scalar import gauss_legendre, gegenbauer
-from .spectral import FieldTag, GammaProduct, ktype
+from .spectral import GammaProduct, ktype
 
 __all__ = [
     "ConvergenceError",
@@ -362,32 +368,71 @@ def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14):
     return McEstimate(mean=mean, stderr=math.sqrt(var / n), samples=n, seed=seed)
 
 
-def _gram(frames):
-    return np.matmul(frames.conj().transpose(0, 2, 1), frames)
+def _inner(q, v):
+    # <q, v> = sum_k conj(q_k) v_k per sample, for field columns (u, m, S),
+    # as (u, S).  With pq[x, y] = sum_k conj(q_xk) v_yk over the parts, a
+    # quaternion x = a + b j has conj(x) = conj(a) - b j, so for q = a + b j
+    # and v = c + d j
+    #     <q, v> = sum(conj(a) c + b conj(d)) + sum(conj(a) d - b conj(c)) j.
+    pq = np.einsum("xms,yms->xys", q.conj(), v)
+    if len(q) == 1:
+        return pq[0]
+    return np.stack([pq[0, 0] + pq[1, 1].conj(), pq[0, 1] - pq[1, 0].conj()])
 
 
-def _frame_alpha(sig, frames, gram, block):
-    # alpha_p of the Haar sample's p x p block `block` (0: top, 1: the rows
-    # below it), from its Gaussian frame G = Q T^(-1) with T T* = (G*G)^(-1):
-    # |det Q_block| = |det G_block| / det(G*G)^(1/2).
-    pe = _units(sig.field) * sig.p
-    rows = frames[:, block * pe: (block + 1) * pe]
-    return _abs_det_field(sig.field, rows) / np.sqrt(_abs_det_field(sig.field, gram))
+def _scale(q, s):
+    # q s with the scalar s (u, S) on the right, per sample, as (u, m, S):
+    # (a + b j)(s + t j) = (a s - b conj(t)) + (a t + b conj(s)) j,
+    # i.e. the parts of q times the 2 x 2 complex matrix of s + t j.
+    mat = s[None] if len(q) == 1 else np.stack([s, np.stack([-s[1].conj(), s[0].conj()])])
+    return np.einsum("xms,xys->yms", q, mat)
 
 
-def _ktype_test_values(sig, frames, gram):
-    # Value at h.b_o of the zonal degree-2 invariant spanning the first
-    # nontrivial K-type: trace of the product of the projections onto h.b_o
-    # and the base point, centered at its Haar mean p^2/(n+1).  In frame
-    # terms that is the squared Frobenius norm of the top-left p x p block
-    # of the Haar sample, tr(G_top (G*G)^(-1) G_top*).
-    pe = _units(sig.field) * sig.p
-    top = frames[:, :pe]
-    sol = np.linalg.solve(gram, top.conj().transpose(0, 2, 1))
-    sumsq = np.einsum("bij,bji->b", top, sol).real
-    if sig.field is FieldTag.QUATERNION:
-        sumsq = 0.5 * sumsq
-    return sumsq - sig.p ** 2 / (sig.n + 1.0)
+def _sqnorm(x):
+    # sum of |x|^2 over every axis but the last (the samples)
+    x = x.reshape(-1, x.shape[-1])
+    return np.einsum("ks,ks->s", x.conj(), x).real
+
+
+def _gram_schmidt(frames):
+    """Batched Gram-Schmidt over the field columns of (p, u, m, S) frames.
+
+    Returns the orthonormal frames Q and the product of the Gram-Schmidt
+    norms, which is |det_K| of the frames when m = p.  Two projection
+    sweeps make Q orthonormal to rounding; every step is one vector
+    operation over the S samples.
+    """
+    q = np.empty_like(frames)
+    norms = np.ones(frames.shape[-1])
+    for j, col in enumerate(frames):
+        v = col.copy()
+        for _ in range(2):
+            for qi in q[:j]:
+                v -= _scale(qi, _inner(qi, v))
+        nrm = np.sqrt(_sqnorm(v))
+        np.multiply(v, 1.0 / nrm, out=q[j])
+        norms *= nrm
+    return q, norms
+
+
+def _frame_integrands(sig, frames, block):
+    """alpha_p and the K-type test value of the Haar samples behind frames.
+
+    `block` picks the p rows whose |det_K| is alpha_p: 0 for the top block,
+    1 for the rows below it.  With Q the Gram-Schmidt frame of G, i.e. the
+    first p columns of the Haar sample,
+
+        alpha_p = prod GS-norms(G_block) / prod GS-norms(G),
+
+    and the test value is the zonal degree-2 invariant spanning the first
+    nontrivial K-type: the trace of the product of the projections onto
+    h.b_o and the base point, centered at its Haar mean p^2/(n+1), i.e.
+    |Q_top|_F^2 - p^2/(n+1).
+    """
+    p = sig.p
+    q, norms = _gram_schmidt(frames)
+    alpha = _gram_schmidt(frames[:, :, block * p: (block + 1) * p])[1] / norms
+    return alpha, _sqnorm(q[:, :, :p]) - p ** 2 / (sig.n + 1.0)
 
 
 def _ktype_base_value(sig):
@@ -410,7 +455,7 @@ def mc_c_p(sig, lam, samples, seed, workers=1):
     """Monte Carlo estimate of the c-function: mean of alpha_p(k)^(lambda-rho)."""
     _require_convergent(lam, sig.rho)
     expo = complex(lam) - sig.rho
-    return _mc_mean(sig, lambda g: _kernel_pow(_frame_alpha(sig, g, _gram(g), 0), expo),
+    return _mc_mean(sig, lambda g: _kernel_pow(_frame_integrands(sig, g, 0)[0], expo),
                     samples, seed, workers)
 
 
@@ -429,9 +474,8 @@ def mc_transform_ktype(sig, lam, mu, samples, seed, workers=1):
     base = _ktype_base_value(sig)
 
     def values(g):
-        gram = _gram(g)
-        kern = _kernel_pow(_frame_alpha(sig, g, gram, 0), expo)
-        return kern * _ktype_test_values(sig, g, gram) / base
+        alpha, test = _frame_integrands(sig, g, 0)
+        return _kernel_pow(alpha, expo) * test / base
 
     return _mc_mean(sig, values, samples, seed, workers)
 
@@ -451,11 +495,9 @@ def sin_transform_numeric(sig, lam, mu, samples, seed, workers=1):
     base = _ktype_base_value(sig)
 
     def values(g):
-        gram = _gram(g)
-        kern = _kernel_pow(_frame_alpha(sig, g, gram, 1), expo)
-        if mu.is_zero:
-            return kern
-        return kern * _ktype_test_values(sig, g, gram) / base
+        alpha, test = _frame_integrands(sig, g, 1)
+        kern = _kernel_pow(alpha, expo)
+        return kern if mu.is_zero else kern * test / base
 
     return _mc_mean(sig, values, samples, seed, workers)
 

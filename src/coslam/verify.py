@@ -59,10 +59,11 @@ def run_recursion(seed, samples, workers, grid_order, tol=1e-10):
 def run_functional_equation(seed, samples, workers, grid_order, tol=1e-11):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     sigs = list(_signatures(5))
+    ktypes = [spectral.enumerate_ktypes(sig, 8) for sig in sigs]
     worst = 0.0
     for _ in range(200):
-        sig = sigs[rng.integers(len(sigs))]
-        mus = spectral.enumerate_ktypes(sig, 8)
+        i = rng.integers(len(sigs))
+        sig, mus = sigs[i], ktypes[i]
         mu = mus[rng.integers(len(mus))]
         lam = _random_lambdas(rng, 1)[0]
         lhs = spectral.eta(sig, mu, [lam, -lam]).prod().value

@@ -358,3 +358,35 @@ class TestParserAndLimits:
         for row in rows:
             lam = complex(row["lambda"]["re"], row["lambda"]["im"])
             assert row["cp"] == c_p(sig, lam).to_json()
+
+
+class TestVerifyLimits:
+    """verify sizes are bounded; each violation is one JSON error naming the option."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--samples", "100000001"], "--samples"),
+        (["--workers", "1025"], "--workers"),
+        (["--grid-order", "129"], "--grid-order"),
+        (["--grid-order", "0"], "--grid-order"),
+        (["--grid-order", "-3"], "--grid-order"),
+    ])
+    def test_just_over_a_limit_exits_one(self, capsys, argv, option):
+        status, out, err = run_cli(capsys, "verify", "--suite", "normalization", *argv)
+        assert status == 1 and out == ""
+        assert option in one_error_object(err)["error"]["message"]
+
+    def test_workers_env_is_capped_too(self, capsys, monkeypatch):
+        monkeypatch.setenv("COSLAM_WORKERS", "1025")
+        status, out, err = run_cli(capsys, "verify", "--suite", "normalization")
+        assert status == 1 and out == ""
+        assert "--workers" in one_error_object(err)["error"]["message"]
+
+    def test_limits_themselves_are_accepted(self, capsys):
+        # normalization draws nothing, so the largest sizes cost nothing here
+        status, out, _ = run_cli(capsys, "verify", "--suite", "normalization",
+                                 "--samples", "100000000", "--workers", "1024",
+                                 "--grid-order", "128")
+        assert status == 0
+        config = json.loads(out)["config"]
+        assert (config["samples"], config["workers"], config["grid_order"]) == \
+            (100_000_000, 1024, 128)

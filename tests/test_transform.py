@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from coslam.geometry import frame_batch, haar_batch
+from coslam.geometry import frame_batch, haar_batch, quat_embed
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_eta
 from coslam.transform import (
     ConvergenceError,
     SphereGrid,
-    _frame_alpha,
-    _gram,
-    _ktype_test_values,
+    _frame_integrands,
+    _gram_schmidt,
     cos_transform_sphere,
     funk_hecke_1d,
     mc_c_p,
@@ -472,11 +471,10 @@ class TestFrameEstimator:
         s = sig(n, p, field)
         mats = haar_batch(s, np.random.default_rng(31), self.COUNT)
         frames = frame_batch(s, np.random.default_rng(31), self.COUNT)
-        gram = _gram(frames)
         top, below, test = self.haar_integrands(s, mats)
-        assert np.abs(_frame_alpha(s, frames, gram, 0) - top).max() < 1e-12
-        assert np.abs(_frame_alpha(s, frames, gram, 1) - below).max() < 1e-12
-        assert np.abs(_ktype_test_values(s, frames, gram) - test).max() < 1e-12
+        assert np.abs(_frame_integrands(s, frames, 0)[0] - top).max() < 1e-12
+        assert np.abs(_frame_integrands(s, frames, 1)[0] - below).max() < 1e-12
+        assert np.abs(_frame_integrands(s, frames, 0)[1] - test).max() < 1e-12
 
     @pytest.mark.parametrize("field", [R, C, H])
     @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1)])
@@ -486,3 +484,107 @@ class TestFrameEstimator:
         frame_batch(s, rng_frame, 7)
         haar_batch(s, rng_haar, 7)
         assert rng_frame.standard_normal() == rng_haar.standard_normal()
+
+
+class TestBatchedGramSchmidt:
+    """The estimators run one Gram-Schmidt over the field columns of
+    samples-last frames (p, u, n+1, S); H columns stay complex (a, b) pairs."""
+
+    @staticmethod
+    def realize(frames):
+        # (p, u, m, S) frames as stacked (S, u m, u p) realizations
+        cols = frames.transpose(3, 1, 2, 0)
+        return quat_embed(cols[:, 0], cols[:, 1]) if frames.shape[1] == 2 else cols[:, 0]
+
+    @pytest.mark.parametrize("n,p,field", [(5, 3, R), (6, 3, C), (5, 3, H), (7, 2, H)])
+    def test_integrands_match_haar_formulas_large_p(self, n, p, field):
+        s = sig(n, p, field)
+        mats = haar_batch(s, np.random.default_rng(44), 2048)
+        frames = frame_batch(s, np.random.default_rng(44), 2048)
+        top, below, test = TestFrameEstimator.haar_integrands(s, mats)
+        alpha_top, test_values = _frame_integrands(s, frames, 0)
+        assert np.abs(alpha_top - top).max() < 1e-12
+        assert np.abs(_frame_integrands(s, frames, 1)[0] - below).max() < 1e-12
+        assert np.abs(test_values - test).max() < 1e-12
+
+    @pytest.mark.parametrize("field", [R, C, H])
+    def test_frames_are_orthonormalized(self, field):
+        s = sig(5, 3, field)
+        q, norms = _gram_schmidt(frame_batch(s, np.random.default_rng(2), 256))
+        real = self.realize(q)
+        eye = np.eye(real.shape[-1])
+        assert np.abs(real.conj().transpose(0, 2, 1) @ real - eye).max() < 1e-14
+        gram = self.realize(frame_batch(s, np.random.default_rng(2), 256))
+        gram = gram.conj().transpose(0, 2, 1) @ gram
+        dets = np.abs(np.linalg.det(gram)) ** (0.25 if field is H else 0.5)
+        assert np.abs(norms / dets - 1.0).max() < 1e-13
+
+    @pytest.mark.parametrize("field", [R, C, H])
+    def test_near_singular_top_block(self, field):
+        # top block [[1, 1], [1, 1 + 1e-8]]: det_K is fl(1 + 1e-8) - 1
+        # exactly, in every field; the rows below are Gaussian.
+        s = sig(3, 2, field)
+        count = 64
+        frames = frame_batch(s, np.random.default_rng(5), count)
+        frames[:, :, :2] = 0.0
+        frames[:, 0, :2] = 1.0
+        frames[1, 0, 1] += 1e-8
+        det_top = (1.0 + 1e-8) - 1.0
+        real = self.realize(frames)
+        gram = real.conj().transpose(0, 2, 1) @ real
+        root = np.abs(np.linalg.det(gram)) ** (0.25 if field is H else 0.5)
+        alpha, test = _frame_integrands(s, frames, 0)
+        assert np.abs(alpha - det_top / root).max() < 1e-12
+        assert np.abs(alpha * root / det_top - 1.0).max() < 1e-6
+        # the second sweep keeps even the near-singular block orthonormal
+        q_top = self.realize(_gram_schmidt(frames[:, :, :2])[0])
+        eye = np.eye(q_top.shape[-1])
+        assert np.abs(q_top.conj().transpose(0, 2, 1) @ q_top - eye).max() < 1e-14
+        top = real[:, :real.shape[-1]]  # the top p field rows
+        sumsq = np.einsum("bij,bji->b", top, np.linalg.solve(gram, top.conj().transpose(0, 2, 1)))
+        sumsq = sumsq.real * (0.5 if field is H else 1.0)
+        assert np.abs(test - (sumsq - s.p ** 2 / (s.n + 1.0))).max() < 1e-12
+
+    @staticmethod
+    def haar_mean(kind, s, mu, lam, samples, seed, workers, batch=1 << 14):
+        # The documented realization: SeedSequence(seed).spawn(workers),
+        # contiguous chunks, 2**14-sample draws, from full Haar matrices.
+        expo = lam - s.rho
+        total = 0.0
+        streams = np.random.SeedSequence(seed).spawn(workers)
+        for w, child in enumerate(streams):
+            rng = np.random.default_rng(child)
+            left = samples // workers + (w < samples % workers)
+            while left:
+                take = min(batch, left)
+                top, below, test = TestFrameEstimator.haar_integrands(
+                    s, haar_batch(s, rng, take))
+                vals = (below if kind == "sin" else top).astype(complex) ** expo
+                if any(mu):
+                    vals = vals * test / (s.p * s.q / (s.n + 1.0))
+                total += vals.sum()
+                left -= take
+        return total / samples
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind,n,p,field,mu", [
+        ("c_p", 2, 1, R, (0,)),
+        ("c_p", 3, 2, H, (0, 0)),
+        ("ktype", 3, 2, C, (2, 0)),
+        ("ktype", 5, 3, R, (2, 0, 0)),
+        ("sin", 3, 2, R, (2, 0)),
+        ("sin", 3, 2, H, (0, 0)),
+    ])
+    def test_estimates_pin_the_haar_realization(self, kind, n, p, field, mu, workers):
+        s = sig(n, p, field)
+        lam = s.rho + 1.0 + 0.5j
+        samples, seed = 20_000, 123
+        if kind == "c_p":
+            est = mc_c_p(s, lam, samples, seed, workers=workers)
+        elif kind == "ktype":
+            est = mc_transform_ktype(s, lam, mu, samples, seed, workers=workers)
+        else:
+            est = sin_transform_numeric(s, lam, mu, samples, seed, workers=workers)
+        ref = self.haar_mean(kind, s, mu, lam, samples, seed, workers)
+        assert est.samples == samples
+        assert rel_err(est.mean, ref) < 1e-12
