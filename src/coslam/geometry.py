@@ -256,20 +256,31 @@ def torus_point(sig, t):
 # ---------------------------------------------------------------------------
 
 
-def _normal_parts(sig, rng, count):
-    """The real parts of count Ginibre matrices, each (count, n+1, n+1).
+_DRAW_CHUNK = 1024  # Ginibre samples per standard_normal call in frame_batch
 
-    Drawn in a fixed order (R: one part; C: re, im; H: alpha re, alpha im,
-    beta re, beta im), so every sampler that starts here advances rng alike.
+
+def _normal_parts(sig, rng, count, chunk):
+    """The real parts of count Ginibre matrices, as (part, start, normals).
+
+    normals holds samples start.. of that part, (k, n+1, n+1), in one buffer
+    that the next chunk overwrites.  Parts come in a fixed order (R: one;
+    C: re, im; H: alpha re, alpha im, beta re, beta im), each in sample
+    order, so rng yields the numbers of whole-part draws and every sampler
+    that starts here advances rng alike.
     """
     n1 = sig.n + 1
     parts = {FieldTag.REAL: 1, FieldTag.COMPLEX: 2, FieldTag.QUATERNION: 4}[sig.field]
-    return [rng.standard_normal((count, n1, n1)) for _ in range(parts)]
+    buf = np.empty((min(chunk, count), n1, n1))
+    for part in range(parts):
+        for start in range(0, max(count, 1), chunk):  # count 0: one empty chunk
+            normals = buf[: min(chunk, count - start)]
+            rng.standard_normal(out=normals)
+            yield part, start, normals
 
 
 def _ginibre(sig, rng, count):
     """count Ginibre matrices as a stacked realization."""
-    parts = _normal_parts(sig, rng, count)
+    parts = [normals.copy() for _, _, normals in _normal_parts(sig, rng, count, max(count, 1))]
     if sig.field is FieldTag.REAL:
         return parts[0]
     if sig.field is FieldTag.COMPLEX:
@@ -303,14 +314,17 @@ def haar_batch(sig, rng, count):
     return _quat_mgs(g)
 
 
-def frame_batch(sig, rng, count):
+def frame_batch(sig, rng, count, out=None):
     """The Gaussian p-frames G behind haar_batch(sig, rng, count), samples last.
 
     G is the first p field columns of the same Ginibre draw, and rng
     advances exactly as under haar_batch.  The result has shape
     (p, u, n+1, count): field column, part, row, sample.  R and C entries
     have one part (u = 1); a quaternion a + b j keeps its complex parts
-    a and b (u = 2), with no 2 x 2 realization.
+    a and b (u = 2), with no 2 x 2 realization.  `out`, if given, is an
+    array of that shape and dtype whose last axis is contiguous; it is
+    filled and returned.  The normals pass through a buffer of _DRAW_CHUNK
+    samples, so the draw holds no whole Ginibre part.
 
     Column k of the QR or Gram-Schmidt factor depends only on columns 1..k
     of the draw, and the phase fix gives the QR the positive real diagonal
@@ -319,11 +333,14 @@ def frame_batch(sig, rng, count):
     n+1).  Any |det| of p rows of that frame and their Frobenius norm are
     therefore functions of G alone.
     """
-    out = np.empty((sig.p, _units(sig.field), sig.n + 1, count), dtype=_dtype(sig.field))
+    if out is None:
+        out = np.empty((sig.p, _units(sig.field), sig.n + 1, count), dtype=_dtype(sig.field))
     comps = 1 if sig.field is FieldTag.REAL else 2  # reals per entry
     flat = out.view(np.float64)  # re, im interleaved along the sample axis
-    for i, part in enumerate(_normal_parts(sig, rng, count)):
-        flat[:, i // comps, :, i % comps::comps] = part[:, :, :sig.p].transpose(2, 1, 0)
+    for i, start, normals in _normal_parts(sig, rng, count, _DRAW_CHUNK):
+        stop = comps * (start + len(normals))
+        flat[:, i // comps, :, comps * start + i % comps:stop:comps] = \
+            normals[:, :, :sig.p].transpose(2, 1, 0)
     return out
 
 

@@ -53,10 +53,18 @@ into per-worker streams with numpy's SeedSequence.spawn, worker chunks are
 contiguous, and partial sums are combined by a fixed-order pairwise tree, so
 results are bit-reproducible for a given (seed, workers) and independent of
 how the workers are scheduled.
+
+The streams run concurrently on min(workers, usable CPUs) threads, since a
+batch is numpy calls that release the GIL.  Each stream refills one frames
+array per batch and evaluates it in 2**12-sample views, so two batches in
+flight take about the memory one batch took when the streams ran in turn.
 """
 
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +195,8 @@ def _kernel_pow(base, expo):
         return np.ones_like(base)
     if expo.imag == 0.0:
         return base ** expo.real
-    out = np.zeros(base.shape, dtype=complex)
-    mask = base > 0.0
-    out[mask] = np.exp(expo * np.log(base[mask]))
-    return out
+    pos = base > 0.0
+    return np.exp(expo * np.log(np.where(pos, base, 1.0))) * pos
 
 
 def sphere_quadrature_tolerance(lam, n, order=64):
@@ -345,23 +351,47 @@ def _tree_reduce(parts):
     return parts[0]
 
 
-def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14):
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _stream_sums(sig, value_fn, batch, block, stop, rng, count):
+    # (sum of values, sum of |values|^2, count) of one worker stream.  The
+    # values are per sample, so evaluating block-sample views leaves each
+    # batch sum as it is and keeps the estimator's temporaries small.
+    s1 = 0.0 + 0.0j
+    s2 = 0.0
+    frames = None
+    left = count
+    while left > 0 and not stop.is_set():
+        take = min(batch, left)
+        frames = frame_batch(sig, rng, take, None if frames is None else frames[..., :take])
+        vals = np.concatenate([value_fn(frames[..., i:i + block])
+                               for i in range(0, take, block)])
+        s1 += complex(vals.sum())
+        s2 += float(np.abs(vals) ** 2 @ np.ones(take))
+        left -= take
+    return s1, s2, count
+
+
+def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14, block=1 << 12):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    parts = []
-    for rng, count in zip(worker_streams(seed, workers), _split_counts(samples, workers)):
-        s1 = 0.0 + 0.0j
-        s2 = 0.0
-        left = count
-        while left > 0:
-            take = min(batch, left)
-            vals = value_fn(frame_batch(sig, rng, take))
-            s1 += complex(vals.sum())
-            s2 += float(np.abs(vals) ** 2 @ np.ones(take))
-            left -= take
-        parts.append((s1, s2, count))
+    # A thread cannot be interrupted: if the wait below ends early (an error
+    # in a stream, Ctrl-C), stop ends the streams in flight after one batch.
+    stop = threading.Event()
+    stream = functools.partial(_stream_sums, sig, value_fn, batch, block, stop)
+    with ThreadPoolExecutor(min(workers, _usable_cpus())) as pool:
+        try:
+            parts = list(pool.map(stream, worker_streams(seed, workers),
+                                  _split_counts(samples, workers)))
+        finally:
+            stop.set()
     s1, s2, n = _tree_reduce(parts)
     mean = s1 / n
     var = max(s2 - abs(s1) ** 2 / n, 0.0) / (n - 1) if n > 1 else 0.0

@@ -1,13 +1,21 @@
+import math
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from coslam.geometry import frame_batch, haar_batch, quat_embed
+from coslam.geometry import _DRAW_CHUNK, frame_batch, haar_batch, quat_embed
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_eta
 from coslam.transform import (
     ConvergenceError,
     SphereGrid,
     _frame_integrands,
     _gram_schmidt,
+    _kernel_pow,
+    _mc_mean,
+    _tree_reduce,
     cos_transform_sphere,
     funk_hecke_1d,
     mc_c_p,
@@ -17,6 +25,7 @@ from coslam.transform import (
     sin_transform_numeric,
     sphere_grid,
     sphere_quadrature_tolerance,
+    worker_streams,
     zonal_values,
 )
 
@@ -588,3 +597,141 @@ class TestBatchedGramSchmidt:
         ref = self.haar_mean(kind, s, mu, lam, samples, seed, workers)
         assert est.samples == samples
         assert rel_err(est.mean, ref) < 1e-12
+
+
+class TestConcurrentStreams:
+    """The worker streams run concurrently on a thread pool, each in its own
+    workspace; every estimate equals a serial loop over the same streams."""
+
+    BATCH = 1 << 14
+
+    @classmethod
+    def serial(cls, s, value_fn, samples, seed, workers):
+        # The documented realization, one stream after another: whole
+        # 2**14-sample frame batches, per-stream sums, the fixed-order tree.
+        parts = []
+        for w, rng in enumerate(worker_streams(seed, workers)):
+            count = samples // workers + (w < samples % workers)
+            s1, s2 = 0.0 + 0.0j, 0.0
+            for start in range(0, count, cls.BATCH):
+                take = min(cls.BATCH, count - start)
+                vals = value_fn(frame_batch(s, rng, take))
+                s1 += complex(vals.sum())
+                s2 += float(np.abs(vals) ** 2 @ np.ones(take))
+            parts.append((s1, s2, count))
+        s1, s2, n = _tree_reduce(parts)
+        var = max(s2 - abs(s1) ** 2 / n, 0.0) / (n - 1) if n > 1 else 0.0
+        return s1 / n, math.sqrt(var / n)
+
+    @staticmethod
+    def values(kind, s, mu, lam):
+        expo = lam - s.rho
+        base = s.p * s.q / (s.n + 1.0)
+
+        def fn(frames):
+            alpha, test = _frame_integrands(s, frames, 1 if kind == "sin" else 0)
+            kern = _kernel_pow(alpha, expo)
+            return kern * test / base if any(mu) else kern
+        return fn
+
+    @staticmethod
+    def estimate(kind, s, mu, lam, samples, seed, workers):
+        if kind == "c_p":
+            return mc_c_p(s, lam, samples, seed, workers=workers)
+        if kind == "ktype":
+            return mc_transform_ktype(s, lam, mu, samples, seed, workers=workers)
+        return sin_transform_numeric(s, lam, mu, samples, seed, workers=workers)
+
+    CASES = [
+        ("c_p", 2, 1, R, (0,)),
+        ("c_p", 3, 2, H, (0, 0)),
+        ("ktype", 3, 2, C, (2, 0)),
+        ("sin", 3, 2, R, (2, 0)),
+        ("sin", 3, 2, H, (0, 0)),
+    ]
+
+    @pytest.mark.parametrize("samples,workers", [(40_000, 1), (40_000, 2), (40_000, 3),
+                                                 (40_000, 5), (2, 3)])
+    @pytest.mark.parametrize("kind,n,p,field,mu", CASES)
+    def test_estimates_equal_serial_streams(self, kind, n, p, field, mu, samples, workers):
+        s = sig(n, p, field)
+        lam = s.rho + 1.0 + 0.5j
+        est = self.estimate(kind, s, mu, lam, samples, 321, workers)
+        mean, stderr = self.serial(s, self.values(kind, s, mu, lam), samples, 321, workers)
+        assert est.samples == samples
+        assert est.mean == mean
+        assert est.stderr == stderr
+
+    def test_threads_bounded_by_usable_cpus(self):
+        s = sig(3, 2, C)
+        fn = self.values("c_p", s, (0, 0), s.rho + 1.0)
+        idents = set()
+
+        def recording(frames):
+            idents.add(threading.get_ident())
+            return fn(frames)
+
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the streams as finely as possible
+        try:
+            est = _mc_mean(s, recording, 64 * 300, 11, 64)
+        finally:
+            sys.setswitchinterval(switch)
+        assert 1 <= len(idents) <= min(64, cpus)
+        assert (est.mean, est.stderr) == self.serial(s, fn, 64 * 300, 11, 64)
+
+
+    def test_error_in_a_stream_stops_the_others(self):
+        # Stream 0 fails on its first block; stream 1 must not run its
+        # 30 batches to the end before the error reaches the caller.
+        s = sig(3, 2, C)
+        samples, seed = 2 * 30 * self.BATCH, 5
+        first = frame_batch(s, worker_streams(seed, 2)[0], self.BATCH)[..., :1 << 12]
+        fn = self.values("c_p", s, (0, 0), s.rho + 1.0)
+        calls = []
+
+        def failing(frames):
+            if np.array_equal(frames, first):
+                raise RuntimeError("stream 0 fails")
+            calls.append(1)
+            return fn(frames)
+
+        with pytest.raises(RuntimeError, match="stream 0 fails"):
+            _mc_mean(s, failing, samples, seed, 2)
+        assert len(calls) < 30 * 4 // 2
+
+class TestChunkedDraw:
+    """frame_batch draws the Ginibre parts in _DRAW_CHUNK-sample chunks into
+    one buffer; the frames and the stream position equal a whole-part draw."""
+
+    @staticmethod
+    def whole_part_frames(s, rng, count):
+        n1 = s.n + 1
+        parts = [rng.standard_normal((count, n1, n1))[:, :, :s.p]
+                 for _ in range({R: 1, C: 2, H: 4}[s.field])]
+        if s.field is R:
+            cols = [parts[0]]
+        elif s.field is C:
+            cols = [parts[0] + 1j * parts[1]]
+        else:
+            cols = [parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]]
+        return np.stack(cols).transpose(3, 0, 2, 1)  # (u, S, n+1, p) -> (p, u, n+1, S)
+
+    @pytest.mark.parametrize("field", [R, C, H])
+    @pytest.mark.parametrize("count", [0, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
+                                       16_387])
+    def test_workspace_fill_matches_whole_parts(self, field, count):
+        s = sig(3, 2, field)
+        ref = self.whole_part_frames(s, np.random.default_rng(17), count)
+        work = np.full(ref.shape[:-1] + (16_400,), np.nan, dtype=ref.dtype)
+        rng = np.random.default_rng(17)
+        assert np.array_equal(frame_batch(s, rng, count, work[..., :count]), ref)
+        assert np.isnan(work[..., count:]).all()
+        assert np.array_equal(frame_batch(s, np.random.default_rng(17), count), ref)
+        rng_haar = np.random.default_rng(17)
+        haar_batch(s, rng_haar, count)
+        assert rng.standard_normal() == rng_haar.standard_normal()
