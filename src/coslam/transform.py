@@ -56,7 +56,8 @@ how the workers are scheduled.
 
 The streams run concurrently on min(workers, usable CPUs) threads, since a
 batch is numpy calls that release the GIL.  Each stream refills one frames
-array per batch and evaluates it in 2**12-sample views, so two batches in
+array per batch and passes it to the estimator in views of at most 1 MiB
+(2**12 samples of Gr_2(H^4), a whole batch of Gr_2(R^4)), so two batches in
 flight take about the memory one batch took when the streams ran in turn.
 """
 
@@ -358,10 +359,15 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _stream_sums(sig, value_fn, batch, block, stop, rng, count):
+_VIEW_BYTES = 1 << 20  # frames per estimator call: 2**12 samples of Gr_2(H^4)
+
+
+def _stream_sums(sig, value_fn, batch, stop, rng, count):
     # (sum of values, sum of |values|^2, count) of one worker stream.  The
-    # values are per sample, so evaluating block-sample views leaves each
-    # batch sum as it is and keeps the estimator's temporaries small.
+    # values are per sample, so evaluating views of at most _VIEW_BYTES of
+    # frames leaves each batch sum as it is and keeps the estimator's
+    # temporaries small; a batch of small frames stays one view, since each
+    # extra call costs more than it saves there.
     s1 = 0.0 + 0.0j
     s2 = 0.0
     frames = None
@@ -369,6 +375,7 @@ def _stream_sums(sig, value_fn, batch, block, stop, rng, count):
     while left > 0 and not stop.is_set():
         take = min(batch, left)
         frames = frame_batch(sig, rng, take, None if frames is None else frames[..., :take])
+        block = max(1, _VIEW_BYTES // frames[..., 0].nbytes)
         vals = np.concatenate([value_fn(frames[..., i:i + block])
                                for i in range(0, take, block)])
         s1 += complex(vals.sum())
@@ -377,7 +384,7 @@ def _stream_sums(sig, value_fn, batch, block, stop, rng, count):
     return s1, s2, count
 
 
-def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14, block=1 << 12):
+def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if workers < 1:
@@ -385,7 +392,7 @@ def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14, block=1 << 12
     # A thread cannot be interrupted: if the wait below ends early (an error
     # in a stream, Ctrl-C), stop ends the streams in flight after one batch.
     stop = threading.Event()
-    stream = functools.partial(_stream_sums, sig, value_fn, batch, block, stop)
+    stream = functools.partial(_stream_sums, sig, value_fn, batch, stop)
     with ThreadPoolExecutor(min(workers, _usable_cpus())) as pool:
         try:
             parts = list(pool.map(stream, worker_streams(seed, workers),

@@ -11,6 +11,7 @@ from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_e
 from coslam.transform import (
     ConvergenceError,
     SphereGrid,
+    _VIEW_BYTES,
     _frame_integrands,
     _gram_schmidt,
     _kernel_pow,
@@ -684,13 +685,14 @@ class TestConcurrentStreams:
         assert 1 <= len(idents) <= min(64, cpus)
         assert (est.mean, est.stderr) == self.serial(s, fn, 64 * 300, 11, 64)
 
-
     def test_error_in_a_stream_stops_the_others(self):
-        # Stream 0 fails on its first block; stream 1 must not run its
+        # Stream 0 fails on its first view; stream 1 must not run its
         # 30 batches to the end before the error reaches the caller.
         s = sig(3, 2, C)
         samples, seed = 2 * 30 * self.BATCH, 5
-        first = frame_batch(s, worker_streams(seed, 2)[0], self.BATCH)[..., :1 << 12]
+        frames = frame_batch(s, worker_streams(seed, 2)[0], self.BATCH)
+        views = self.BATCH // (_VIEW_BYTES // frames[..., 0].nbytes)
+        first = frames[..., :self.BATCH // views]
         fn = self.values("c_p", s, (0, 0), s.rho + 1.0)
         calls = []
 
@@ -702,7 +704,9 @@ class TestConcurrentStreams:
 
         with pytest.raises(RuntimeError, match="stream 0 fails"):
             _mc_mean(s, failing, samples, seed, 2)
-        assert len(calls) < 30 * 4 // 2
+        assert views > 1
+        assert len(calls) < 30 * views // 2
+
 
 class TestChunkedDraw:
     """frame_batch draws the Ginibre parts in _DRAW_CHUNK-sample chunks into
