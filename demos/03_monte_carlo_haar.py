@@ -2,9 +2,9 @@
 
 The value of the transform on constants is an integral over the compact
 group, c_p(lambda) = E[alpha(k)^(lambda - rho)] for Haar-random k.  Sampling
-k by QR of Ginibre matrices (quaternionic Gram-Schmidt over H) makes this a
-one-line estimator; the same machinery estimates the eigenvalue on the first
-nontrivial K-type through a degree-2 invariant test function.
+k by QR of Ginibre matrices makes this a one-line estimator; the same
+machinery estimates the eigenvalue on the first nontrivial K-type through a
+degree-2 invariant test function.
 
 Estimates come with sample standard errors and are bit-reproducible for a
 fixed (seed, workers).

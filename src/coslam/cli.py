@@ -38,6 +38,7 @@ _ENV_WORKERS = "COSLAM_WORKERS"
 # Upper limits on the sizes an invocation may ask for.
 MAX_GRID_COUNT = 1_000_000
 MAX_DEGREE = 64
+MAX_P = 16  # spectrum/cp/poles; the K-type enumeration recurses p levels deep
 MAX_SAMPLES = 100_000_000
 MAX_WORKERS = 1_024
 MAX_GRID_ORDER = 128  # the quadrature suite powers 2 * order^3 kernel entries
@@ -185,7 +186,8 @@ def _build_parser():
             sp.add_argument("--field", default="R", choices=["R", "C", "H"],
                             help="base field of the Grassmannian")
             sp.add_argument("--n", type=int, default=2, help="ambient space K^(n+1)")
-            sp.add_argument("--p", type=int, default=1, help="subspace dimension")
+            sp.add_argument("--p", type=int, default=1,
+                            help=f"subspace dimension, at most {MAX_P}")
         sp.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
         sp.add_argument("--output", default="", help="output path (default: stdout)")
         sp.add_argument("--workers", type=_workers_arg, default=None,
@@ -238,6 +240,8 @@ def _config_from_args(args):
             cfg.signature()
         except ValueError as exc:
             raise _CliError(str(exc)) from None
+        if cfg.p > MAX_P:
+            raise _CliError(f"--p must be at most {MAX_P}, got {cfg.p}")
     if args.command == "spectrum":
         cfg.lam = _parse_complex(args.lam)
         cfg.max_degree = args.max_degree
@@ -269,6 +273,11 @@ def _config_from_args(args):
         cfg.re_min, cfg.re_max = args.re_min, args.re_max
         if cfg.re_min > cfg.re_max:
             raise _CliError("--re-min must be <= --re-max")
+        # each of the 4p factor lines crosses at most floor(span/2) + 1 times
+        span = cfg.re_max - cfg.re_min
+        if not (math.isfinite(span) and 4 * cfg.p * (span // 2 + 1) <= MAX_GRID_COUNT):
+            raise _CliError(f"--re-min/--re-max span {span!r} may give more than "
+                            f"{MAX_GRID_COUNT} rows at p = {cfg.p}")
     elif args.command == "verify":
         cfg.suites = tuple(args.suite) if args.suite else tuple(verify_mod.SUITE_NAMES)
         unknown = [s for s in cfg.suites if s not in verify_mod.SUITE_NAMES]

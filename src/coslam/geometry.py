@@ -291,27 +291,24 @@ def _ginibre(sig, rng, count):
 def haar_batch(sig, rng, count):
     """count independent Haar samples from K, as a stacked realization array.
 
-    QR of a Ginibre matrix with the R-diagonal phase fix, then a determinant
-    correction into the special group (a last-column phase, which does not
-    move the induced point on the Grassmannian).  For H the quaternionic
-    Gram-Schmidt already lands in the compact symplectic group.
+    QR of a Ginibre matrix, with each column of Q multiplied by the phase
+    diag(R)/|diag(R)| so that R has a positive real diagonal (Mezzadri,
+    Notices AMS 2007).  Such a QR is unique, so Q is the Gram-Schmidt of
+    the columns in order.  Over H that is the quaternionic Gram-Schmidt:
+    each realized column pair (v, Jv) is orthogonal, and projecting off a
+    span of such pairs keeps the pair structure, so Q realizes a
+    quaternionic unitary.  A realization of Sp(n+1) has det 1, so only R
+    and C need the determinant correction into the special group: a
+    last-column phase, which does not move the induced point on the
+    Grassmannian.
     """
-    g = _ginibre(sig, rng, count)
-    if sig.field is FieldTag.REAL:
-        q, r = np.linalg.qr(g)
-        diag = np.einsum("bii->bi", r)
-        q = q * np.where(diag < 0.0, -1.0, 1.0)[:, None, :]
-        dets = np.linalg.det(q)
-        q[dets < 0, :, -1] *= -1.0
-        return q
-    if sig.field is FieldTag.COMPLEX:
-        q, r = np.linalg.qr(g)
-        diag = np.einsum("bii->bi", r)
-        q = q * (diag / np.abs(diag))[:, None, :]
+    q, r = np.linalg.qr(_ginibre(sig, rng, count))
+    diag = np.einsum("bii->bi", r)
+    q *= (diag / np.abs(diag))[:, None, :]
+    if sig.field is not FieldTag.QUATERNION:
         dets = np.linalg.det(q)
         q[:, :, -1] *= (dets.conj() / np.abs(dets))[:, None]
-        return q
-    return _quat_mgs(g)
+    return q
 
 
 def frame_batch(sig, rng, count, out=None):
@@ -326,12 +323,12 @@ def frame_batch(sig, rng, count, out=None):
     filled and returned.  The normals pass through a buffer of _DRAW_CHUNK
     samples, so the draw holds no whole Ginibre part.
 
-    Column k of the QR or Gram-Schmidt factor depends only on columns 1..k
-    of the draw, and the phase fix gives the QR the positive real diagonal
-    of Gram-Schmidt, so the first p columns of the Haar sample are the
-    Gram-Schmidt frame of G (the determinant correction only touches column
-    n+1).  Any |det| of p rows of that frame and their Frobenius norm are
-    therefore functions of G alone.
+    Column k of the QR factor depends only on columns 1..k of the draw, and
+    the phase fix gives the QR the positive real diagonal of Gram-Schmidt,
+    so the first p columns of the Haar sample are the Gram-Schmidt frame
+    of G (the determinant correction only touches column n+1).  Any |det|
+    of p rows of that frame and their Frobenius norm are therefore
+    functions of G alone.
     """
     if out is None:
         out = np.empty((sig.p, _units(sig.field), sig.n + 1, count), dtype=_dtype(sig.field))
@@ -342,26 +339,6 @@ def frame_batch(sig, rng, count, out=None):
         flat[:, i // comps, :, comps * start + i % comps:stop:comps] = \
             normals[:, :, :sig.p].transpose(2, 1, 0)
     return out
-
-
-def _quat_mgs(m):
-    # Batched modified Gram-Schmidt over quaternionic columns (pairs of
-    # realized columns), two projection sweeps for orthogonality to machine
-    # precision.  The diagonal of the implied R is real positive, which is
-    # exactly the normalization that makes the output Haar.
-    batch, n2, _ = m.shape
-    nq = n2 // 2
-    q = np.empty_like(m)
-    for j in range(nq):
-        v = m[:, :, 2 * j: 2 * j + 2].copy()
-        for _ in range(2):
-            for i in range(j):
-                qi = q[:, :, 2 * i: 2 * i + 2]
-                proj = np.einsum("bki,bkj->bij", qi.conj(), v)
-                v -= np.einsum("bki,bij->bkj", qi, proj)
-        nrm = np.sqrt(np.einsum("bk,bk->b", v[:, :, 0].conj(), v[:, :, 0]).real)
-        q[:, :, 2 * j: 2 * j + 2] = v / nrm[:, None, None]
-    return q
 
 
 def haar_sample(sig, rng):

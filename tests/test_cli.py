@@ -297,6 +297,36 @@ class TestNonFiniteAndOverflow:
         one_error_object(err)
 
 
+class TestSignatureAndRangeLimits:
+    """spectrum/cp/poles sizes are bounded; each violation is one JSON error naming the option."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "3000", "--p", "1500", "--max-degree", "2"],
+        ["spectrum", "--n", "33", "--p", "17"],
+        ["cp", "--n", "33", "--p", "17", "--lambda", "3.5"],
+        ["poles", "--n", "33", "--p", "17"],
+    ])
+    def test_p_just_over_the_limit_exits_one(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert "--p" in one_error_object(err)["error"]["message"]
+
+    def test_p_limit_itself_is_accepted(self, capsys):
+        status, out, _ = run_cli(capsys, "cp", "--n", "32", "--p", "16", "--lambda", "3.5")
+        assert status == 0
+        assert json.loads(out)["config"]["p"] == 16
+
+    @pytest.mark.parametrize("re_min,re_max", [("0", "1e300"), ("-1e308", "1e308"),
+                                               ("0", "500000")])
+    def test_poles_range_over_the_row_limit_exits_one(self, capsys, re_min, re_max):
+        # p = 1 allows spans up to 499,999: 4 (floor(span / 2) + 1) <= 1,000,000
+        status, out, err = run_cli(capsys, "poles", "--n", "2", "--p", "1",
+                                   "--re-min", re_min, "--re-max", re_max)
+        assert status == 1 and out == ""
+        message = one_error_object(err)["error"]["message"]
+        assert "--re-min" in message and "--re-max" in message
+
+
 def test_python_dash_m_entry_point(tmp_path):
     src = str(resources.files("coslam").parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

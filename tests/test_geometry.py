@@ -220,8 +220,9 @@ class TestTorus:
 
 class TestHaar:
     @pytest.mark.parametrize("field", ALL_FIELDS)
-    def test_sample_invariants(self, field, rng):
-        s = sig(3, 2, field)
+    @pytest.mark.parametrize("n,p", [(3, 2), (1, 1), (5, 2)])
+    def test_sample_invariants(self, n, p, field, rng):
+        s = sig(n, p, field)
         mats = haar_batch(s, rng, 64)
         size = mats.shape[-1]
         gram_err = np.abs(np.einsum("bij,bik->bjk", mats.conj(), mats) - np.eye(size)).max()

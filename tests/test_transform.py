@@ -506,6 +506,18 @@ class TestBatchedGramSchmidt:
         cols = frames.transpose(3, 1, 2, 0)
         return quat_embed(cols[:, 0], cols[:, 1]) if frames.shape[1] == 2 else cols[:, 0]
 
+    @pytest.mark.parametrize("field", [R, C, H])
+    @pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (3, 2), (5, 2), (5, 3), (7, 4)])
+    def test_haar_columns_are_the_frame_gram_schmidt(self, n, p, field):
+        # The phase-fixed QR in haar_batch is the Gram-Schmidt of the same
+        # Ginibre draw, over H too, so its first p field columns are the
+        # estimators' orthonormalized frame.
+        s = sig(n, p, field)
+        u = 2 if field is H else 1
+        mats = haar_batch(s, np.random.default_rng(9), 2048)
+        q, _ = _gram_schmidt(frame_batch(s, np.random.default_rng(9), 2048))
+        assert np.abs(mats[:, :, :u * p] - self.realize(q)).max() < 1e-13
+
     @pytest.mark.parametrize("n,p,field", [(5, 3, R), (6, 3, C), (5, 3, H), (7, 2, H)])
     def test_integrands_match_haar_formulas_large_p(self, n, p, field):
         s = sig(n, p, field)
