@@ -18,12 +18,9 @@ from .spectral import (
     eta,
     eta_by_recursion,
     eta_step_ratio,
-    gindikin_gamma,
     ktype,
-    neighbors,
     nu,
     omega,
-    rho_k,
     sphere_eta,
 )
 from .geometry import (
@@ -33,7 +30,6 @@ from .geometry import (
     alpha_p,
     base_point,
     cos_angle,
-    frame_of,
     group_compose,
     group_inverse,
     haar_batch,
@@ -74,11 +70,8 @@ __all__ = [
     "eta",
     "eta_by_recursion",
     "eta_step_ratio",
-    "gindikin_gamma",
-    "neighbors",
     "nu",
     "omega",
-    "rho_k",
     "sphere_eta",
     "FramePoint",
     "GroupElement",
@@ -86,7 +79,6 @@ __all__ = [
     "alpha_p",
     "base_point",
     "cos_angle",
-    "frame_of",
     "group_compose",
     "group_inverse",
     "haar_batch",

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 verification failure.
 """
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -26,8 +27,8 @@ from dataclasses import field as _field
 import numpy as np
 
 from . import verify as verify_mod
-from .spectral import (FieldTag, GrassmannSignature, c_p, enumerate_ktypes, eta,
-                       ktype, nu, omega)
+from .spectral import (FieldTag, GrassmannSignature, SpectralValue, c_p, enumerate_ktypes,
+                       eta, ktype, nu, omega)
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -302,15 +303,79 @@ def _config_from_args(args):
 # ---------------------------------------------------------------------------
 
 
+# A spectrum/cp/poles report holds its rows as a _Rows: columns of plain
+# values and the %-template of one row in the report's format.  %r writes a
+# float as json and csv do; text columns (the spectral cells, cp's constant
+# lambda_im) go in through %s.  A cell is its tag plus its value (finite) or
+# its order (pole, zero); p != q gives no nu cell.
+_CELL_TEXTS = {  # finite, pole, zero, none
+    "json": ('{"tag":"finite","re":%r,"im":%r}', '{"tag":"pole","order":%d}',
+             '{"tag":"zero","order":%d}', "null"),
+    "csv": ("finite,%r,%r,", "pole,,,%d", "zero,,,%d", ",,,"),
+}
+_CSV_HEADERS = {
+    "spectrum": "mu,degree,omega,eta_tag,eta_re,eta_im,eta_order,nu_tag,nu_re,nu_im,nu_order",
+    "cp": "lambda_re,lambda_im,cp_tag,cp_re,cp_im,cp_order",
+    "poles": "lambda_re,factor,side,j,k,eta_tag,eta_re,eta_im,eta_order",
+}
+_ROW_TEMPLATES = {  # (command, format): row template, the columns it reads
+    ("spectrum", "json"): ('{"mu":[%s],"degree":%d,"omega":%r,"eta":%s,"nu":%s}',
+                           "mu degree omega eta nu"),
+    ("spectrum", "csv"): ("%s,%d,%r,%s,%s", "mu degree omega eta nu"),
+    ("cp", "json"): ('{"lambda":{"re":%r,"im":%s},"cp":%s}', "lambda_re lambda_im cp"),
+    ("cp", "csv"): ("%r,%s,%s", "lambda_re lambda_im cp"),
+    ("poles", "json"): ('{"factor":"%s","side":"%s","j":%d,"k":%d,"lambda_re":%r,"eta":%s}',
+                        "factor side j k lambda_re eta"),
+    ("poles", "csv"): ("%r,%s,%s,%d,%d,%s", "lambda_re factor side j k eta"),
+}
+
+
+@dataclass(frozen=True)
+class _Rows:
+    template: str
+    columns: list
+
+
+def _rows(cfg, **columns):
+    template, names = _ROW_TEMPLATES[cfg.command, cfg.fmt]
+    return {"rows": _Rows(template, [columns[name] for name in names.split()])}
+
+
+def _cell_texts(fmt, *columns):
+    """The text of every cell of SpectralArray columns of one length, per
+    column.  A finite value is cmath.exp of its log, taken row by row, so
+    the errors name the report's first bad cell."""
+    order = np.stack([c.order for c in columns], axis=-1).ravel().tolist()
+    log = np.stack([c.log for c in columns], axis=-1).ravel()
+    logs = log.tolist()
+    finite, pole, zero, _ = _CELL_TEXTS[fmt]
+    try:
+        texts = [finite % ((v := cmath.exp(g)).real, v.imag) if o == 0
+                 else pole % o if o > 0 else zero % -o
+                 for o, g in zip(order, logs)]
+    except OverflowError:
+        for o, g in zip(order, logs):
+            if o == 0:
+                SpectralValue(0, g).value  # raises with the value's own message
+        raise
+    if fmt == "json" and not np.isfinite(log).all():  # exp of a finite log is finite
+        json.dumps([x for o, g in zip(order, logs) if o == 0 and not cmath.isfinite(g)
+                    for x in (cmath.exp(g).real, cmath.exp(g).imag)], allow_nan=False)
+    return [texts[i::len(columns)] for i in range(len(columns))]
+
+
 def _cmd_spectrum(cfg):
     sig = cfg.signature()
     mus = enumerate_ktypes(sig, cfg.max_degree)
-    etas = eta(sig, mus, cfg.lam)
-    nus = nu(sig, mus, cfg.lam) if sig.split_rank_equal else [None] * len(mus)
-    rows = [{"mu": list(mu.m), "degree": mu.degree, "omega": omega(sig, mu),
-             "eta": e.to_json(), "nu": None if v is None else v.to_json()}
-            for mu, e, v in zip(mus, etas, nus)]
-    return {"rows": rows}, 0
+    if sig.split_rank_equal:
+        etas, nus = _cell_texts(cfg.fmt, eta(sig, mus, cfg.lam), nu(sig, mus, cfg.lam))
+    else:
+        (etas,) = _cell_texts(cfg.fmt, eta(sig, mus, cfg.lam))
+        nus = [_CELL_TEXTS[cfg.fmt][3]] * len(mus)
+    sep = "," if cfg.fmt == "json" else " "
+    return _rows(cfg, mu=[sep.join(map(str, mu.m)) for mu in mus],
+                 degree=[mu.degree for mu in mus], omega=omega(sig, mus).tolist(),
+                 eta=etas, nu=nus), 0
 
 
 def _cmd_cp(cfg):
@@ -319,51 +384,53 @@ def _cmd_cp(cfg):
     lams = np.full(count, cfg.lam)
     if count > 1:
         lams.real = start + np.arange(count) * ((stop - start) / (count - 1))
-    rows = [{"lambda": {"re": lam.real, "im": lam.imag}, "cp": v.to_json()}
-            for lam, v in zip(lams.tolist(), c_p(sig, lams))]
-    return {"rows": rows}, 0
+    (cps,) = _cell_texts(cfg.fmt, c_p(sig, lams))
+    return _rows(cfg, lambda_re=lams.real.tolist(), lambda_im=[repr(cfg.lam.imag)] * count,
+                 cp=cps), 0
 
 
 def _eta_factor_hits(sig, mu, re_min, re_max):
-    # Real-axis crossings of the singular hyperplanes of the four Gamma_{p,d}
-    # factor groups in the eigenvalue formula: component j of a factor is
-    # singular when its argument minus (d/2) j is a non-positive integer -k,
-    # i.e. along lambda = base_j +/- 2k.
-    d, rho, p = sig.d, sig.rho, sig.p
-    hits = []
+    """Real-axis crossings of the singular hyperplanes of the four
+    Gamma_{p,d} factor groups in the eigenvalue formula, sorted by (lambda,
+    factor, j, k): the columns lambda_re, factor, side, j (from 1), k.
 
-    def scan(name, side, base_of, direction):
+    Component j of a factor is singular when its argument minus (d/2) j is
+    a non-positive integer -k, i.e. along lambda = base_j +/- 2k.
+    """
+    d, rho, p, m = sig.d, sig.rho, sig.p, mu.m
+    groups = [  # in the order of their names
+        # Gamma_{p,d}((lambda - rho + dp)/2): poles of the eigenvalue.
+        ("cos-kernel", "numerator", lambda j: rho - d * p + d * j, -1),
+        # 1 / Gamma_{p,d}((lambda + rho + mu)/2): zeros.
+        ("kernel-dual", "denominator", lambda j: -rho - m[j] + d * j, -1),
+        # Gamma_{p,d}((-lambda + rho + mu)/2): poles.
+        ("ktype-shift", "numerator", lambda j: rho + m[j] - d * j, +1),
+        # 1 / Gamma_{p,d}((-lambda + rho)/2): zeros.
+        ("weight", "denominator", lambda j: rho - d * j, +1),
+    ]
+    lam, group, js, ks = [], [], [], []
+    for g, (_, _, base_of, direction) in enumerate(groups):
         for j in range(p):
             base = base_of(j)
-            if direction > 0:
-                k_lo = max(0, math.ceil((re_min - base) / 2.0 - 1e-12))
-                k_hi = math.floor((re_max - base) / 2.0 + 1e-12)
-            else:
-                k_lo = max(0, math.ceil((base - re_max) / 2.0 - 1e-12))
-                k_hi = math.floor((base - re_min) / 2.0 + 1e-12)
-            for k in range(k_lo, k_hi + 1):
-                hits.append({"factor": name, "side": side, "j": j + 1, "k": k,
-                             "lambda_re": base + direction * 2.0 * k})
-
-    m = mu.m
-    # Gamma_{p,d}((lambda - rho + dp)/2): poles of the eigenvalue.
-    scan("cos-kernel", "numerator", lambda j: rho - d * p + d * j, -1)
-    # Gamma_{p,d}((-lambda + rho + mu)/2): poles.
-    scan("ktype-shift", "numerator", lambda j: rho + m[j] - d * j, +1)
-    # 1 / Gamma_{p,d}((-lambda + rho)/2): zeros.
-    scan("weight", "denominator", lambda j: rho - d * j, +1)
-    # 1 / Gamma_{p,d}((lambda + rho + mu)/2): zeros.
-    scan("kernel-dual", "denominator", lambda j: -rho - m[j] + d * j, -1)
-    hits.sort(key=lambda h: (h["lambda_re"], h["factor"], h["j"], h["k"]))
-    return hits
+            lo, hi = ((re_min - base, re_max - base) if direction > 0
+                      else (base - re_max, base - re_min))
+            k = range(max(0, math.ceil(lo / 2.0 - 1e-12)), math.floor(hi / 2.0 + 1e-12) + 1)
+            lam += [base + direction * 2.0 * kk for kk in k]
+            group += [g] * len(k)
+            js += [j + 1] * len(k)
+            ks += k  # Python ints: far out on the real axis k exceeds 64 bits
+    lam = np.array(lam, dtype=float)
+    order = np.lexsort((js, group, lam)).tolist()  # stable, so k ascends within (factor, j)
+    return (lam[order], [groups[group[i]][0] for i in order],
+            [groups[group[i]][1] for i in order], [js[i] for i in order], [ks[i] for i in order])
 
 
 def _cmd_poles(cfg):
     sig = cfg.signature()
     mu = ktype(sig, cfg.mu) if cfg.mu else ktype(sig, (0,) * sig.p)
-    hits = _eta_factor_hits(sig, mu, cfg.re_min, cfg.re_max)
-    nets = eta(sig, mu, np.array([hit["lambda_re"] for hit in hits]))
-    return {"rows": [{**hit, "eta": net.to_json()} for hit, net in zip(hits, nets)]}, 0
+    lam, factor, side, j, k = _eta_factor_hits(sig, mu, cfg.re_min, cfg.re_max)
+    (etas,) = _cell_texts(cfg.fmt, eta(sig, mu, lam))
+    return _rows(cfg, lambda_re=lam.tolist(), factor=factor, side=side, j=j, k=k, eta=etas), 0
 
 
 def _cmd_verify(cfg):
@@ -387,51 +454,25 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _sv_csv_cells(sv):
-    # tag, re, im, order
-    if sv is None:
-        return ["", "", "", ""]
-    if sv["tag"] == "finite":
-        return ["finite", repr(sv["re"]), repr(sv["im"]), ""]
-    return [sv["tag"], "", "", str(sv["order"])]
-
-
-def _render_csv(report):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    command = report["command"]
-    if command == "spectrum":
-        writer.writerow(["mu", "degree", "omega",
-                         "eta_tag", "eta_re", "eta_im", "eta_order",
-                         "nu_tag", "nu_re", "nu_im", "nu_order"])
-        for row in report["rows"]:
-            writer.writerow([" ".join(str(x) for x in row["mu"]), row["degree"],
-                             repr(row["omega"]),
-                             *_sv_csv_cells(row["eta"]), *_sv_csv_cells(row["nu"])])
-    elif command == "cp":
-        writer.writerow(["lambda_re", "lambda_im", "cp_tag", "cp_re", "cp_im", "cp_order"])
-        for row in report["rows"]:
-            writer.writerow([repr(row["lambda"]["re"]), repr(row["lambda"]["im"]),
-                             *_sv_csv_cells(row["cp"])])
-    elif command == "poles":
-        writer.writerow(["lambda_re", "factor", "side", "j", "k",
-                         "eta_tag", "eta_re", "eta_im", "eta_order"])
-        for row in report["rows"]:
-            writer.writerow([repr(row["lambda_re"]), row["factor"], row["side"],
-                             row["j"], row["k"], *_sv_csv_cells(row["eta"])])
-    else:  # verify
-        writer.writerow(["suite", "passed", "tolerance", "measured", "detail"])
-        for row in report["suites"]:
-            writer.writerow([row["name"], row["passed"], repr(row["tolerance"]),
-                             repr(row["measured"]), row["detail"]])
-    return buf.getvalue()
-
-
 def _emit(report, cfg):
-    if cfg.fmt == "json":
+    rows = report.get("rows")
+    if isinstance(rows, _Rows):
+        lines = [rows.template % row for row in zip(*rows.columns)]
+        if cfg.fmt == "csv":
+            text = "\n".join([_CSV_HEADERS[cfg.command], *lines]) + "\n"
+        else:
+            head = json.dumps({key: value for key, value in report.items() if key != "rows"},
+                              separators=(",", ":"), sort_keys=False, allow_nan=False)
+            text = f'{head[:-1]},"rows":[{",".join(lines)}]}}\n'
+    elif cfg.fmt == "json":
         text = json.dumps(report, separators=(",", ":"), sort_keys=False, allow_nan=False) + "\n"
-    else:
-        text = _render_csv(report)
+    else:  # verify
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["suite", "passed", "tolerance", "measured", "detail"])
+        writer.writerows([row["name"], row["passed"], repr(row["tolerance"]),
+                          repr(row["measured"]), row["detail"]] for row in report["suites"])
+        text = buf.getvalue()
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

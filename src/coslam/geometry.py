@@ -28,7 +28,6 @@ __all__ = [
     "quat_parts",
     "quat_structure_error",
     "base_point",
-    "frame_of",
     "act",
     "group_compose",
     "group_inverse",

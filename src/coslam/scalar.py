@@ -59,10 +59,14 @@ def log_gamma(z, residual=None, log_slope=None):
         z = np.where(pole, 1.0, z)
         left &= ~pole
     real = z.imag == 0.0
-    x = np.where(real, z.real, 1.0)
-    out = gammaln(x) + np.log(gammasgn(x).astype(complex))
-    if np.count_nonzero(real) != real.size:
-        out = np.where(real, out, loggamma(z))
+    n_real = np.count_nonzero(real)
+    if not n_real:
+        out = np.asarray(loggamma(z))
+    else:
+        x = np.where(real, z.real, 1.0)
+        out = gammaln(x) + np.log(gammasgn(x).astype(complex))
+        if n_real != real.size:
+            out = np.where(real, out, loggamma(z))
     if residual is not None and np.count_nonzero(left):
         out = out - np.log1p(residual / np.where(left, dz, np.inf))
     if any_pole:

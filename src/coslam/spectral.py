@@ -11,9 +11,11 @@ This module implements:
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, adjacency, Casimir eigenvalue).
 
-All spectral quantities are returned as SpectralValue, which keeps explicit
+A spectral quantity at one point is a SpectralValue, which keeps explicit
 pole/zero markers with orders so that ratios of Gamma factors at coinciding
-singularities come out right instead of degenerating to inf/nan.
+singularities come out right instead of degenerating to inf/nan.  Over
+arrays of lambda or K-types it is a SpectralArray: the Laurent orders and
+log coefficients as two numpy arrays, whose cells are SpectralValues.
 
 Everything is a pure function of immutable values; thread-safe throughout.
 """
@@ -21,6 +23,7 @@ Everything is a pure function of immutable values; thread-safe throughout.
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,10 +36,8 @@ __all__ = [
     "GrassmannSignature",
     "KType",
     "SpectralValue",
-    "gindikin_gamma",
+    "SpectralArray",
     "enumerate_ktypes",
-    "neighbors",
-    "rho_k",
     "omega",
     "c_p",
     "eta",
@@ -114,20 +115,13 @@ class GrassmannSignature:
 
 
 def _is_dominant(sig, m):
-    if len(m) != sig.p:
+    if len(m) != sig.p or any(mj % 2 for mj in m):
         return False
-    if any(mj % 2 != 0 for mj in m):
+    if sig.field is FieldTag.REAL and sig.split_rank_equal:
+        m = (*m[:-1], abs(m[-1]))  # a signed last entry with |m_p| <= m_{p-1}
+    elif m[-1] < 0:
         return False
-    signed_last = sig.field is FieldTag.REAL and sig.split_rank_equal
-    body = m[:-1] if signed_last else m
-    tail = abs(m[-1]) if signed_last else m[-1]
-    if any(body[i] < body[i + 1] for i in range(len(body) - 1)):
-        return False
-    if body and body[-1] < tail:
-        return False
-    if not signed_last and m and m[-1] < 0:
-        return False
-    return True
+    return all(a >= b for a, b in zip(m, m[1:]))
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ def ktype(sig, m):
     mu = m.m if isinstance(m, KType) else tuple(int(x) for x in m)
     if not _is_dominant(sig, mu):
         raise ValueError(f"{mu} is not a valid K-type for {sig.label()}")
-    return KType(mu)
+    return m if isinstance(m, KType) else KType(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +273,53 @@ class SpectralValue:
         return str(self.value)
 
 
+@dataclass(frozen=True, eq=False)
+class SpectralArray:
+    """An array of SpectralValues held as two read-only columns: the Laurent
+    orders (int) and the logs of the leading coefficients (complex).
+
+    Indexing gives a SpectralValue for one cell and a SpectralArray
+    otherwise; iteration runs over the first axis.  `==` compares cell by
+    cell and gives a bool array.
+    """
+
+    order: np.ndarray
+    log: np.ndarray
+
+    def __post_init__(self):
+        for name in ("order", "log"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @property
+    def shape(self):
+        return self.order.shape
+
+    def __len__(self):
+        return len(self.order)
+
+    def __getitem__(self, index):
+        return _spectral(self.order[index], self.log[index])
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectralArray):
+            return NotImplemented
+        return (self.order == other.order) & (self.log == other.log)
+
+    def prod(self):
+        """Product of every cell, multiplied in C order (1 when empty)."""
+        cells = list(map(SpectralValue, self.order.ravel().tolist(), self.log.ravel().tolist()))
+        return functools.reduce(operator.mul, cells) if cells else SpectralValue.one()
+
+
+def _spectral(order, log):
+    """A SpectralValue for 0-d columns, else a SpectralArray."""
+    if np.ndim(order) == 0:
+        return SpectralValue(int(order), complex(log))
+    return SpectralArray(order, log)
+
+
 class GammaProduct:
     """Accumulator for products of Gamma factors of a single variable lambda.
 
@@ -286,12 +327,17 @@ class GammaProduct:
     a'(lambda); when a sits on a pole of Gamma the factor contributes
     residue/(slope (lambda-lambda_0)), so the leading Laurent coefficient in
     lambda stays exact and removable singularities cancel correctly.
-    Starts from `start` (a SpectralValue) if given, else from 1.
+    Starts from `start` (a SpectralValue, or a SpectralArray for a product
+    over an array of lambdas) if given, else from 1.
     """
 
     def __init__(self, start=None):
-        self._order = 0 if start is None else start.laurent_order
-        self._log = 0.0 + 0.0j if start is None else start.log_coeff
+        if start is None:
+            self._order, self._log = 0, 0.0 + 0.0j
+        elif isinstance(start, SpectralArray):
+            self._order, self._log = start.order, start.log
+        else:
+            self._order, self._log = start.laurent_order, start.log_coeff
 
     def mul_gamma(self, z, slope=1.0, power=1):
         """Multiply by Gamma(z)^power; z, slope and power broadcast together."""
@@ -302,14 +348,15 @@ class GammaProduct:
         return self
 
     def mul_linear(self, value, slope, power=1):
-        # Multiply by ell(lambda)^power where ell has the given value and
-        # d ell/d lambda at the evaluation point.  An exact zero of ell turns
-        # into an order marker with the slope as leading coefficient.
-        if value == 0:
-            self._order -= power
-            self._log += power * cmath.log(complex(slope))
-        else:
-            self._log += power * cmath.log(complex(value))
+        # Multiply by ell(lambda)^power where ell has the given value (one per
+        # lambda of the product) and d ell/d lambda at the evaluation point.
+        # An exact zero of ell turns into an order marker with the slope as
+        # leading coefficient.  Each log is cmath's, as for a scalar.
+        value = np.asarray(value, dtype=complex)
+        zero = value == 0
+        logs = [cmath.log(v) for v in np.where(zero, slope, value).ravel().tolist()]
+        self._order = self._order - power * zero
+        self._log = self._log + power * np.reshape(logs, value.shape)
         return self
 
     def mul_sign(self, k):
@@ -318,7 +365,7 @@ class GammaProduct:
         return self
 
     def value(self):
-        return SpectralValue(self._order, self._log)
+        return _spectral(self._order, self._log)
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +434,26 @@ def rho_k(sig):
     return tuple(sig.rho - sig.d * j - 1.0 for j in range(sig.p))
 
 
+def _ktype_matrix(sig, mu):
+    """One K-type or a sequence of them as a validated (k, p) int matrix,
+    and whether mu was one K-type."""
+    single = isinstance(mu, KType) or (
+        len(mu) and np.ndim(mu[0]) == 0 and not isinstance(mu[0], KType))
+    ms = [ktype(sig, m).m for m in ([mu] if single else mu)]
+    return np.array(ms, dtype=int).reshape(len(ms), sig.p), single
+
+
 def omega(sig, mu):
-    """Laplacian eigenvalue on the K-type mu.
+    """Laplacian eigenvalue on the K-type mu, or an array of them over a
+    sequence of K-types.
 
     omega(mu) = pq / (2(n+1)) * sum_j (m_j^2 + 2 m_j (rho - d(j-1) - 1)).
+    The sum runs left to right in j.
     """
-    mu = ktype(sig, mu)
-    rk = rho_k(sig)
-    s = sum(mj * mj + 2.0 * mj * rk[j] for j, mj in enumerate(mu.m))
-    return sig.p * sig.q / (2.0 * (sig.n + 1)) * s
+    ms, single = _ktype_matrix(sig, mu)
+    terms = ms * ms + 2.0 * ms * np.array(rho_k(sig))
+    out = sig.p * sig.q / (2.0 * (sig.n + 1)) * np.add.accumulate(terms, axis=1)[:, -1]
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +523,10 @@ def _gindikin_ratio(sig, mu, lam, kind):
     """A closed form over K-types mu (one, a sequence, or None for the zero
     K-type) and lambdas lam; every cell is the same elementwise computation."""
     plan = _plan(sig, kind, mu is None)
-    single = mu is None or isinstance(mu, KType) or (
-        len(mu) and np.ndim(mu[0]) == 0 and not isinstance(mu[0], KType))
-    ms = [(0,) * sig.p] if mu is None else [ktype(sig, m).m for m in ([mu] if single else mu)]
+    ms, single = (np.zeros((1, sig.p), dtype=int), True) if mu is None else _ktype_matrix(sig, mu)
     kshape = () if single else (len(ms),)
-    c = plan["half_base"] + np.reshape(ms, (len(ms), sig.p)) @ plan["half_shift"]
-    degree = np.array([sum(m) for m in ms])
+    c = plan["half_base"] + ms @ plan["half_shift"]
+    degree = ms.sum(axis=1)
     lam = np.asarray(lam, dtype=complex)
     if np.count_nonzero(np.isfinite(lam)) != lam.size:
         raise ValueError("lambda must be finite")
@@ -478,13 +534,10 @@ def _gindikin_ratio(sig, mu, lam, kind):
     step = max(1, _BLOCK // max(1, c.size))
     order, log = zip(*(_gindikin_block(plan, c[:, None, :], lam[None, l0:l0 + step, None])
                        for l0 in range(0, max(len(lam), 1), step)))
-    order = np.hstack(order)
-    log = np.hstack(log) + np.reshape(plan["head_log"] + plan["sign_pi"] * (degree // 2), (-1, 1))
-    if not kshape and not lshape:
-        return SpectralValue(int(order[0, 0]), complex(log[0, 0]))
-    out = np.empty(order.size, dtype=object)
-    out[:] = [SpectralValue(o, g) for o, g in zip(order.ravel().tolist(), log.ravel().tolist())]
-    return out.reshape(kshape + lshape)
+    order = np.concatenate(order, axis=1)
+    head = plan["head_log"] + plan["sign_pi"] * (degree // 2)
+    log = np.concatenate(log, axis=1) + head[:, None]
+    return _spectral(order.reshape(kshape + lshape), log.reshape(kshape + lshape))
 
 
 def c_p(sig, lam):
@@ -495,7 +548,8 @@ def c_p(sig, lam):
 
     all Gindikin arguments being constant tuples (z, ..., z).  Meromorphic in
     lambda; pole/zero markers are returned on the singular set.  This is
-    eta at mu = 0, and takes an array of lambdas as eta does.
+    eta at mu = 0, and takes an array of lambdas as eta does (a
+    SpectralArray of lam's shape).
     """
     return _gindikin_ratio(sig, None, lam, "eta")
 
@@ -509,9 +563,9 @@ def eta(sig, mu, lam):
 
     where (z+mu)/2 is the tuple ((z+m_j)/2)_j.  eta(sig, 0, lam) == c_p(sig, lam).
 
-    mu may be a sequence of K-types and lam an array: the result is then an
-    object array of shape (len(mu),) + lam.shape (no first axis for one
-    K-type), each element equal to its scalar call.
+    mu may be a sequence of K-types and lam an array: the result is then a
+    SpectralArray of shape (len(mu),) + lam.shape (no first axis for one
+    K-type), each cell equal to its scalar call.
     """
     return _gindikin_ratio(sig, mu, lam, "eta")
 
@@ -561,19 +615,18 @@ def eta_by_recursion(sig, mu, lam, path=None):
 
     with r = lambda * pq/(n+1).  By default the steps follow the monotone
     path filling m_1 first, then m_2, etc.; any admissible path gives the
-    same value.
+    same value.  lam may be an array: the result is then a SpectralArray of
+    its shape, each cell equal to its scalar call.
     """
     mu = ktype(sig, mu)
-    lam = complex(lam)
+    lam = np.asarray(lam, dtype=complex)
     if path is None:
         path = _monotone_path(mu)
+    dws = omega(sig, [nxt for _, nxt in path]) - omega(sig, [cur for cur, _ in path])
     scale = sig.p * sig.q / (sig.n + 1.0)
     r2 = 2.0 * lam * scale  # 2r
     gp = GammaProduct(c_p(sig, lam))
-    for cur, nxt in path:
-        if not (_is_dominant(sig, cur) and _is_dominant(sig, nxt)):
-            raise ValueError(f"path step {cur} -> {nxt} leaves the lattice")
-        dw = omega(sig, nxt) - omega(sig, cur)
+    for dw in dws:
         gp.mul_linear(r2 - dw, 2.0 * scale, +1)
         gp.mul_linear(r2 + dw, 2.0 * scale, -1)
     return gp.value()
@@ -587,7 +640,7 @@ def nu(sig, mu, lam):
         / (Gamma_{p,d}((-lambda+rho)/2) Gamma_{p,d}((lambda+rho+mu)/2))
 
     with rho = dp.  Equals (-1)^(|mu|/2) eta_mu(lambda).  Takes arrays of
-    K-types and lambdas as eta does.
+    K-types and lambdas as eta does, and then returns a SpectralArray.
     """
     if not sig.split_rank_equal:
         raise ValueError("the sine transform needs p = q")

@@ -49,8 +49,8 @@ def run_recursion(seed, samples, workers, grid_order, tol=1e-10):
         lams = _random_lambdas(rng, 4)
         mus = spectral.enumerate_ktypes(sig, 8)
         for mu, closed in zip(mus, spectral.eta(sig, mus, lams)):
-            for lam, a in zip(lams, (v.value for v in closed)):
-                b = spectral.eta_by_recursion(sig, mu, lam).value
+            for a, b in zip(closed, spectral.eta_by_recursion(sig, mu, lams)):
+                a, b = a.value, b.value
                 worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
                 cases += 1
     return _suite("recursion", tol, worst, f"{cases} (sig, mu, lambda) cases")

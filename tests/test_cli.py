@@ -1,14 +1,20 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from coslam.cli import main
-from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, omega
+from coslam import cli, spectral
+from coslam.spectral import (FieldTag, GrassmannSignature, c_p, enumerate_ktypes, eta, ktype,
+                             nu, omega)
 
 
 def run_cli(capsys, *argv):
@@ -284,6 +290,28 @@ class TestNonFiniteAndOverflow:
         assert status == 1 and out == ""
         assert "double-precision range" in one_error_object(err)["error"]["message"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflow_inside_a_grid_writes_nothing(self, capsys, tmp_path, fmt):
+        argv = ["cp", "--n", "100000", "--p", "2", "--lambda-grid", "3:4:5", "--format", fmt]
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert "double-precision range" in one_error_object(err)["error"]["message"]
+        target = tmp_path / "report.out"
+        status, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert status == 1 and out == "" and not target.exists()
+        assert "double-precision range" in one_error_object(err)["error"]["message"]
+
+    def test_non_finite_cell_is_an_error_object(self, capsys, monkeypatch):
+        def nan_cells(sig, lam):
+            shape = np.shape(lam)
+            return spectral.SpectralArray(np.zeros(shape, int), np.full(shape, complex("nan")))
+
+        monkeypatch.setattr("coslam.cli.c_p", nan_cells)
+        status, out, err = run_cli(capsys, "cp", "--lambda-grid", "0:1:3")
+        assert status == 1 and out == ""
+        assert "NaN" not in err
+        one_error_object(err)
+
     def test_unwritable_output_is_an_error_object(self, capsys, tmp_path):
         target = str(tmp_path / "missing" / "report.json")
         status, out, err = run_cli(capsys, "cp", "--lambda", "3.5", "--output", target)
@@ -420,3 +448,141 @@ class TestVerifyLimits:
         config = json.loads(out)["config"]
         assert (config["samples"], config["workers"], config["grid_order"]) == \
             (100_000_000, 1024, 128)
+
+
+def reference_hits(sig, mu, re_min, re_max):
+    """Real-axis crossings of the eigenvalue's singular hyperplanes, one dict
+    per crossing, sorted by (lambda_re, factor, j, k)."""
+    d, rho, p, m = sig.d, sig.rho, sig.p, mu.m
+    hits = []
+    for name, side, base_of, direction in [
+        ("cos-kernel", "numerator", lambda j: rho - d * p + d * j, -1),
+        ("ktype-shift", "numerator", lambda j: rho + m[j] - d * j, +1),
+        ("weight", "denominator", lambda j: rho - d * j, +1),
+        ("kernel-dual", "denominator", lambda j: -rho - m[j] + d * j, -1),
+    ]:
+        for j in range(p):
+            base = base_of(j)
+            if direction > 0:
+                k_lo = max(0, math.ceil((re_min - base) / 2.0 - 1e-12))
+                k_hi = math.floor((re_max - base) / 2.0 + 1e-12)
+            else:
+                k_lo = max(0, math.ceil((base - re_max) / 2.0 - 1e-12))
+                k_hi = math.floor((base - re_min) / 2.0 + 1e-12)
+            for k in range(k_lo, k_hi + 1):
+                hits.append({"factor": name, "side": side, "j": j + 1, "k": k,
+                             "lambda_re": base + direction * 2.0 * k})
+    hits.sort(key=lambda h: (h["lambda_re"], h["factor"], h["j"], h["k"]))
+    return hits
+
+
+def sv_csv(sv):
+    if sv is None:
+        return ["", "", "", ""]
+    if sv["tag"] == "finite":
+        return ["finite", repr(sv["re"]), repr(sv["im"]), ""]
+    return [sv["tag"], "", "", str(sv["order"])]
+
+
+def reference_report(argv):
+    """The report of a spectrum/cp/poles call built the long way: a dict
+    per row, each cell a scalar call through SpectralValue.to_json, and the
+    whole written by json.dumps or csv.writer."""
+    cfg = cli._config_from_args(cli._build_parser().parse_args(cli._glue_signed_values(argv)))
+    sig = cfg.signature()
+    if cfg.command == "spectrum":
+        rows = [{"mu": list(mu.m), "degree": mu.degree, "omega": omega(sig, mu),
+                 "eta": eta(sig, mu, cfg.lam).to_json(),
+                 "nu": nu(sig, mu, cfg.lam).to_json() if sig.split_rank_equal else None}
+                for mu in enumerate_ktypes(sig, cfg.max_degree)]
+        header = ["mu", "degree", "omega", "eta_tag", "eta_re", "eta_im", "eta_order",
+                  "nu_tag", "nu_re", "nu_im", "nu_order"]
+        cells = [[" ".join(str(x) for x in r["mu"]), r["degree"], repr(r["omega"]),
+                  *sv_csv(r["eta"]), *sv_csv(r["nu"])] for r in rows]
+    elif cfg.command == "cp":
+        start, stop, count = cfg.lam_grid or (cfg.lam.real, cfg.lam.real, 1)
+        step = (stop - start) / (count - 1) if count > 1 else 0.0
+        lams = [complex(start + i * step, cfg.lam.imag) for i in range(count)]
+        rows = [{"lambda": {"re": lam.real, "im": lam.imag}, "cp": c_p(sig, lam).to_json()}
+                for lam in lams]
+        header = ["lambda_re", "lambda_im", "cp_tag", "cp_re", "cp_im", "cp_order"]
+        cells = [[repr(r["lambda"]["re"]), repr(r["lambda"]["im"]), *sv_csv(r["cp"])]
+                 for r in rows]
+    else:
+        mu = ktype(sig, cfg.mu or (0,) * sig.p)
+        rows = [{**hit, "eta": eta(sig, mu, hit["lambda_re"]).to_json()}
+                for hit in reference_hits(sig, mu, cfg.re_min, cfg.re_max)]
+        header = ["lambda_re", "factor", "side", "j", "k",
+                  "eta_tag", "eta_re", "eta_im", "eta_order"]
+        cells = [[repr(r["lambda_re"]), r["factor"], r["side"], r["j"], r["k"],
+                  *sv_csv(r["eta"])] for r in rows]
+    if cfg.fmt == "json":
+        report = {"schema": "coslam-report-v1", "command": cfg.command,
+                  "config": cfg.to_json(), "rows": rows}
+        return json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(cells)
+    return buf.getvalue()
+
+
+REPORT_ARGV = [
+    ["spectrum", "--field", "R", "--n", "2", "--p", "1", "--lambda", "3.5"],
+    ["spectrum", "--field", "R", "--n", "3", "--p", "2", "--lambda", "2.5", "--max-degree", "8"],
+    ["spectrum", "--field", "R", "--n", "7", "--p", "4", "--lambda", "-1.5,0.25",
+     "--max-degree", "4"],
+    ["spectrum", "--field", "C", "--n", "4", "--p", "2", "--lambda", "5.0,0.5"],
+    ["spectrum", "--field", "C", "--n", "3", "--p", "2", "--lambda", "-3", "--max-degree", "6"],
+    ["spectrum", "--field", "H", "--n", "5", "--p", "2", "--lambda", "-3.25,1.5"],
+    ["spectrum", "--field", "H", "--n", "3", "--p", "2", "--lambda", "2", "--max-degree", "0"],
+    ["spectrum", "--field", "R", "--n", "3", "--p", "2", "--lambda", "4", "--max-degree", "0"],
+    ["cp", "--field", "C", "--n", "3", "--p", "2", "--lambda", "4"],
+    ["cp", "--field", "H", "--n", "6", "--p", "1", "--lambda", "-7.5,31.25"],
+    ["cp", "--field", "R", "--n", "5", "--p", "3", "--lambda-grid", "1.5:1.5:1"],
+    ["cp", "--field", "R", "--n", "3", "--p", "2", "--lambda-grid", "-9:6:61"],
+    ["cp", "--field", "H", "--n", "3", "--p", "2", "--lambda-grid", "-6:6:49",
+     "--lambda-im", "-0.75"],
+    ["poles", "--field", "R", "--n", "2", "--p", "1", "--mu", "2", "--re-min", "-4",
+     "--re-max", "6"],
+    ["poles", "--field", "R", "--n", "3", "--p", "2", "--mu", "2,-2", "--re-min", "-9",
+     "--re-max", "5"],
+    ["poles", "--field", "C", "--n", "4", "--p", "2", "--mu", "4,2"],
+    ["poles", "--field", "H", "--n", "7", "--p", "3", "--mu", "2,2,0", "--re-min", "-30",
+     "--re-max", "0"],
+    ["poles", "--field", "C", "--n", "3", "--p", "1", "--re-min", "-1e20", "--re-max", "-1e20"],
+    ["poles", "--field", "R", "--n", "2", "--p", "1", "--re-min", "1e300", "--re-max", "1e300"],
+    ["poles", "--field", "R", "--n", "2", "--p", "1", "--re-min", "0.6", "--re-max", "0.9"],
+]
+
+
+class TestReportBytes:
+    """spectrum/cp/poles reports equal, byte for byte, the same reports built
+    the long way: per-cell scalar calls, per-row dicts, json or csv."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", REPORT_ARGV, ids=" ".join)
+    def test_matches_reference(self, capsys, argv, fmt):
+        status, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert status == 0 and err == ""
+        assert out == reference_report([*argv, "--format", fmt])
+
+    def test_reference_covers_every_tag(self, capsys):
+        tags = set()
+        for argv in REPORT_ARGV:
+            status, out, _ = run_cli(capsys, *argv)
+            report = json.loads(out)
+            for row in report["rows"]:
+                tags.update(row[key]["tag"] for key in ("eta", "nu", "cp")
+                            if row.get(key) is not None)
+        assert tags == {"finite", "pole", "zero"}
+        status, out, _ = run_cli(capsys, *REPORT_ARGV[-1])
+        assert json.loads(out)["rows"] == []
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blocked_grid_gives_the_same_bytes(self, capsys, monkeypatch, fmt):
+        argv = ["cp", "--field", "H", "--n", "5", "--p", "2", "--lambda-grid", "-8:8:257",
+                "--format", fmt]
+        status, whole, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(spectral, "_BLOCK", 64)
+        assert run_cli(capsys, *argv) == (status, whole, "")

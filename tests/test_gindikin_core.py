@@ -251,3 +251,75 @@ class TestAccuracyContract:
             assert abs(lam - plane) <= 2e-14, case
             expected = v.order if v.is_pole else -v.order
             assert abs(mp_order(s, mu, plane, kind) - expected) < 0.01, case
+
+
+class TestSpectralArray:
+    """The array result of c_p/eta/nu/eta_by_recursion: its edge shapes,
+    its cells and its blocked evaluation."""
+
+    def test_empty_lambda_axis(self):
+        values = eta(sig(4, 2, C), (2, 0), [])
+        assert values.shape == (0,) and len(values) == 0 and list(values) == []
+        assert (values == values).shape == (0,)
+        assert values.prod() == spectral.SpectralValue.one()
+
+    def test_empty_ktype_axis(self):
+        values = eta(sig(4, 2, C), [], [1.0, 2.0])
+        assert values.shape == (0, 2) and len(values) == 0 and list(values) == []
+        assert values.order.shape == values.log.shape == (0, 2)
+        assert (values == values).shape == (0, 2)
+        assert values.prod() == spectral.SpectralValue.one()
+
+    def test_cells_rows_and_columns(self):
+        s = sig(3, 2, R)
+        mus = enumerate_ktypes(s, 4)
+        lams = np.array([0.5, 2.5, 1.0 + 0.5j])
+        table = nu(s, mus, lams)
+        assert isinstance(table[1, 2], spectral.SpectralValue)
+        assert table[1, 2] == nu(s, mus[1], lams[2])
+        column = table[:, 0]
+        assert isinstance(column, spectral.SpectralArray) and column.shape == (len(mus),)
+        assert list(column) == [nu(s, mu, lams[0]) for mu in mus]
+        assert (table == table).all() and not (table == nu(s, mus, lams + 1.0)).all()
+        with pytest.raises(ValueError):
+            table.log[0, 0] = 0.0  # the columns are read-only
+
+    def test_prod_multiplies_cells_in_order(self):
+        s = sig(5, 2, H)
+        lams = np.array([[1.25 + 0.5j, -2.0], [3.5, 0.75 - 1.0j]])
+        values = c_p(s, lams)
+        cells = [c_p(s, lam) for lam in lams.ravel()]
+        assert values.prod() == cells[0] * cells[1] * cells[2] * cells[3]
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_block_split_equals_whole(self, monkeypatch, block):
+        s = sig(7, 3, H)
+        lams = np.concatenate([REAL_GRID, REAL_GRID - 1.5j])
+        mus = enumerate_ktypes(s, 4)
+        whole_cp, whole_eta = c_p(s, lams), eta(s, mus, lams)
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        for whole, split in ((whole_cp, c_p(s, lams)), (whole_eta, eta(s, mus, lams))):
+            assert np.array_equal(split.order, whole.order)
+            assert np.array_equal(split.log, whole.log)
+
+    @pytest.mark.parametrize("s", [sig(4, 2, C), sig(3, 2, R), sig(5, 3, H)],
+                             ids=GrassmannSignature.label)
+    def test_recursion_over_lambda_array(self, s):
+        lams = np.concatenate([REAL_GRID[::8], [s.rho, 1.5 - 2.0j, -0.25 + 0.7j]])
+        for mu in enumerate_ktypes(s, 6):
+            values = spectral.eta_by_recursion(s, mu, lams)
+            assert values.shape == lams.shape
+            assert list(values) == [spectral.eta_by_recursion(s, mu, lam) for lam in lams]
+
+    def test_omega_over_ktypes(self):
+        # the loop form of the Casimir sum, summed left to right in j
+        for s in all_signatures(6):
+            mus = enumerate_ktypes(s, 8)
+            expected = []
+            for mu in mus:
+                total = 0
+                for j, mj in enumerate(mu.m):
+                    total = total + (mj * mj + 2.0 * mj * spectral.rho_k(s)[j])
+                expected.append(s.p * s.q / (2.0 * (s.n + 1)) * total)
+            assert spectral.omega(s, mus).tolist() == expected
+            assert [spectral.omega(s, mu) for mu in mus] == expected
