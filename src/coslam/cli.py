@@ -267,6 +267,10 @@ def _config_from_args(args):
             if not 1 <= count <= MAX_GRID_COUNT:
                 raise _CliError(f"--lambda-grid COUNT must be in [1, {MAX_GRID_COUNT}], "
                                 f"got {count}")
+            # _cmd_cp's last point; rounding can carry it past the double range
+            if count > 1 and not math.isfinite(start + (count - 1) * ((stop - start) / (count - 1))):
+                raise _CliError(f"--lambda-grid last point START + (COUNT - 1) * STEP must be "
+                                f"finite, got {args.lambda_grid!r}")
             cfg.lam_grid = (start, stop, count)
             cfg.lam = complex(start, args.lambda_im)
     elif args.command == "poles":

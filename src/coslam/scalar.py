@@ -114,9 +114,6 @@ class QuadratureRule1D:
         if abs(weights.sum() - 2.0) > 1e-12:
             raise ValueError("weights must sum to 2")
 
-    def integrate(self, values):
-        return np.asarray(values) @ self.weights
-
     def mapped(self, a, b):
         """Nodes/weights transported to the interval (a, b)."""
         half = 0.5 * (b - a)

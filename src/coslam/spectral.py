@@ -102,10 +102,6 @@ class GrassmannSignature:
         return self.d * (self.n + 1) / 2.0
 
     @property
-    def convergence_threshold(self):
-        return self.rho
-
-    @property
     def split_rank_equal(self):
         """True when p = q, the case where the orthocomplement map is defined."""
         return self.p == self.q
@@ -141,10 +137,6 @@ class KType:
     def degree(self):
         """|mu| = sum of the entries (signed)."""
         return sum(self.m)
-
-    @property
-    def abs_degree(self):
-        return sum(abs(x) for x in self.m)
 
     @property
     def is_zero(self):

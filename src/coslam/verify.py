@@ -6,6 +6,11 @@ Carlo, ...) and reports the measured error against its tolerance.  All
 randomness is drawn from generators seeded deterministically from the master
 seed, so a report is a pure function of (seed, samples, workers, grid_order,
 tolerances).
+
+Every suite takes its coverage (signature range, degree, number of lambdas,
+samples, Monte Carlo seeds, stricter side gates) as keyword arguments.  The
+defaults are the `coslam verify` scale; `tests/test_acceptance.py` runs the
+same suites at acceptance scale.
 """
 
 import numpy as np
@@ -13,19 +18,21 @@ import numpy as np
 from . import geometry, spectral, transform
 from .spectral import FieldTag, GrassmannSignature
 
-__all__ = ["SUITE_NAMES", "run_suites"]
+__all__ = ["SUITE_NAMES", "all_signatures", "generic_lambdas", "run_suites"]
 
 
-def _signatures(max_n, fields=tuple(FieldTag)):
-    for field in fields:
-        for n in range(1, max_n + 1):
-            for p in range(1, (n + 1) // 2 + 1):
-                yield GrassmannSignature(n, p, field)
+def all_signatures(max_n, fields=tuple(FieldTag)):
+    """Every valid signature with n <= max_n (p <= q enforced by the type)."""
+    return [
+        GrassmannSignature(n, p, field)
+        for field in fields
+        for n in range(1, max_n + 1)
+        for p in range(1, (n + 1) // 2 + 1)
+    ]
 
 
-def _random_lambdas(rng, count):
-    # Generic spectral parameters: kept off the real axis so that no Gamma
-    # factor can sit on a pole.
+def generic_lambdas(rng, count):
+    """Spectral parameters off the real axis, clear of every pole."""
     re = rng.uniform(-4.0, 4.0, count)
     im = rng.uniform(0.4, 2.5, count) * rng.choice([-1.0, 1.0], count)
     return re + 1j * im
@@ -41,13 +48,14 @@ def _suite(name, tolerance, measured, detail=""):
     }
 
 
-def run_recursion(seed, samples, workers, grid_order, tol=1e-10):
+def run_recursion(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
+                  max_n=4, max_degree=8, lambdas=4):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     worst = 0.0
     cases = 0
-    for sig in _signatures(4):
-        lams = _random_lambdas(rng, 4)
-        mus = spectral.enumerate_ktypes(sig, 8)
+    for sig in all_signatures(max_n):
+        lams = generic_lambdas(rng, lambdas)
+        mus = spectral.enumerate_ktypes(sig, max_degree)
         for mu, closed in zip(mus, spectral.eta(sig, mus, lams)):
             for a, b in zip(closed, spectral.eta_by_recursion(sig, mu, lams)):
                 a, b = a.value, b.value
@@ -56,32 +64,33 @@ def run_recursion(seed, samples, workers, grid_order, tol=1e-10):
     return _suite("recursion", tol, worst, f"{cases} (sig, mu, lambda) cases")
 
 
-def run_functional_equation(seed, samples, workers, grid_order, tol=1e-11):
+def run_functional_equation(seed, samples=None, workers=1, grid_order=None, tol=1e-11, *,
+                            max_n=5, max_degree=8, cases=200):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    sigs = list(_signatures(5))
-    ktypes = [spectral.enumerate_ktypes(sig, 8) for sig in sigs]
+    sigs = all_signatures(max_n)
+    ktypes = [spectral.enumerate_ktypes(sig, max_degree) for sig in sigs]
     worst = 0.0
-    for _ in range(200):
+    for _ in range(cases):
         i = rng.integers(len(sigs))
         sig, mus = sigs[i], ktypes[i]
         mu = mus[rng.integers(len(mus))]
-        lam = _random_lambdas(rng, 1)[0]
+        lam = generic_lambdas(rng, 1)[0]
         lhs = spectral.eta(sig, mu, [lam, -lam]).prod().value
         rhs = spectral.c_p(sig, [lam, -lam]).prod().value
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return _suite("functional-equation", tol, worst, "200 random cases")
+    return _suite("functional-equation", tol, worst, f"{cases} random cases")
 
 
-def run_normalization(seed, samples, workers, grid_order, tol=1e-13):
+def run_normalization(seed, samples=None, workers=1, grid_order=None, tol=1e-13):
     worst = 0.0
     count = 0
-    for sig in _signatures(8):
+    for sig in all_signatures(8):
         worst = max(worst, abs(spectral.c_p(sig, sig.rho).value - 1.0))
         count += 1
     return _suite("normalization", tol, worst, f"c_p(rho) over {count} signatures")
 
 
-def run_sphere(seed, samples, workers, grid_order, tol=1e-7):
+def run_sphere(seed, samples=None, workers=1, grid_order=None, tol=1e-7, *, lambdas=5):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     worst_exact = 0.0
     worst_fh = 0.0
@@ -89,7 +98,7 @@ def run_sphere(seed, samples, workers, grid_order, tol=1e-7):
         sig = GrassmannSignature(n, 1, FieldTag.REAL)
         rho = sig.rho
         for m in (0, 2, 4, 6):
-            for lam in _random_lambdas(rng, 5):
+            for lam in generic_lambdas(rng, lambdas):
                 a = spectral.sphere_eta(n, m, lam).value
                 b = spectral.eta(sig, (m,), lam).value
                 worst_exact = max(worst_exact, abs(a - b) / abs(b))
@@ -107,7 +116,7 @@ def run_sphere(seed, samples, workers, grid_order, tol=1e-7):
     )
 
 
-def run_quadrature(seed, samples, workers, grid_order, tol=1e-4):
+def run_quadrature(seed, samples=None, workers=1, grid_order=None, tol=1e-4):
     order = grid_order or 32
     grid = transform.sphere_grid(2, order)
     rho = 1.5
@@ -134,30 +143,40 @@ def run_quadrature(seed, samples, workers, grid_order, tol=1e-4):
     )
 
 
-def run_geometry(seed, samples, workers, grid_order, tol=1e-10):
+def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
+                 pairs=60, torus_points=1, exact_tol=None):
+    """Angle = cocycle on `pairs` Haar pairs per field (gate `tol`); the
+    inverse and torus identities are gated at `exact_tol` (default `tol`)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    worst = 0.0
+    worst_angle = 0.0
+    worst_exact = 0.0
     for field in FieldTag:
         sig = GrassmannSignature(3, 2, field)
         bo = geometry.base_point(sig)
-        for _ in range(60):
+        for _ in range(pairs):
             k = geometry.haar_sample(sig, rng)
             h = geometry.haar_sample(sig, rng)
             ca = geometry.cos_angle(geometry.act(k, bo), geometry.act(h, bo))
             al = geometry.alpha_p(sig, geometry.group_compose(geometry.group_inverse(h), k))
-            worst = max(worst, abs(ca - al))
-            worst = max(worst, abs(geometry.alpha_p(sig, k)
-                                   - geometry.alpha_p(sig, geometry.group_inverse(k))))
-        t = rng.uniform(0.0, np.pi, sig.p)
-        torus_err = abs(geometry.alpha_p(sig, geometry.torus_point(sig, t))
-                        - np.abs(np.cos(t)).prod())
-        worst = max(worst, torus_err)
+            worst_angle = max(worst_angle, abs(ca - al))
+            worst_exact = max(worst_exact, abs(geometry.alpha_p(sig, k)
+                                               - geometry.alpha_p(sig, geometry.group_inverse(k))))
+        for _ in range(torus_points):
+            t = rng.uniform(0.0, np.pi, sig.p)
+            worst_exact = max(worst_exact, abs(geometry.alpha_p(sig, geometry.torus_point(sig, t))
+                                               - np.abs(np.cos(t)).prod()))
+    # The exact identities, moved from their own gate onto the row's scale.
+    scale = 1.0 if exact_tol is None else tol / exact_tol
+    worst = max(worst_angle, worst_exact * scale)
     return _suite("geometry", tol, worst, "cocycle/angle identities, 3 fields")
 
 
-def run_mc(seed, samples, workers, grid_order, tol=3.0):
+def run_mc(seed, samples=None, workers=1, grid_order=None, tol=3.0, *, max_rel_stderr=None):
+    """z-scores of Monte Carlo c_p at stream seeds seed, seed + 1, ...; with
+    `max_rel_stderr` every estimate must also have stderr/|mean| below it."""
     n = samples or 100_000
     worst = 0.0
+    worst_rel = 0.0
     detail = []
     for i, (nn, p, f) in enumerate([(2, 1, FieldTag.REAL), (3, 2, FieldTag.REAL),
                                     (3, 2, FieldTag.COMPLEX), (3, 2, FieldTag.QUATERNION)]):
@@ -167,22 +186,35 @@ def run_mc(seed, samples, workers, grid_order, tol=3.0):
         ref = spectral.c_p(sig, lam).value
         z = abs(est.mean - ref) / est.stderr
         worst = max(worst, z)
+        worst_rel = max(worst_rel, est.stderr / abs(est.mean))
         detail.append(f"{sig.label()} z={z:.2f}")
+    if max_rel_stderr is not None:
+        detail.append(f"stderr/|mean| {worst_rel:.2e} (gate {max_rel_stderr:g})")
+        if not worst_rel < max_rel_stderr:
+            worst = 1e9
     return _suite("mc", tol, worst, "; ".join(detail) + f" ({n} samples, z-units)")
 
 
-def run_ktype(seed, samples, workers, grid_order, tol=3.0):
+def run_ktype(seed, samples=None, workers=1, grid_order=None, tol=3.0, *, mc_seed=None):
+    """z-score of the first K-type by Monte Carlo; stream seed `mc_seed`
+    (default seed + 17)."""
     n = samples or 100_000
     sig = GrassmannSignature(3, 2, FieldTag.REAL)
     lam = sig.rho + 2.0
-    est = transform.mc_transform_ktype(sig, lam, (2, 0), n, seed=seed + 17, workers=workers)
+    mc_seed = seed + 17 if mc_seed is None else mc_seed
+    est = transform.mc_transform_ktype(sig, lam, (2, 0), n, seed=mc_seed, workers=workers)
     ref = spectral.eta(sig, (2, 0), lam).value
     z = abs(est.mean - ref) / est.stderr
     return _suite("ktype", tol, z, f"(3,2,R) mu=(2,0): z={z:.2f} ({n} samples)")
 
 
-def run_sin(seed, samples, workers, grid_order, tol=3.0):
+def run_sin(seed, samples=None, workers=1, grid_order=None, tol=3.0, *, mc_seed=None,
+            sign_sigs=(GrassmannSignature(3, 2, FieldTag.REAL),), sign_degree=6):
+    """z-scores of the sine spectrum by Monte Carlo at stream seeds mc_seed,
+    mc_seed + 1 (default seed + 29), gated on the exact sign relation
+    nu = (-1)^(|mu|/2) eta over `sign_sigs` up to `sign_degree`."""
     n = samples or 100_000
+    mc_seed = seed + 29 if mc_seed is None else mc_seed
     worst = 0.0
     detail = []
     for i, (sig, mu) in enumerate([
@@ -190,7 +222,7 @@ def run_sin(seed, samples, workers, grid_order, tol=3.0):
         (GrassmannSignature(3, 2, FieldTag.REAL), (2, 0)),
     ]):
         lam = sig.rho + 2.0
-        est = transform.sin_transform_numeric(sig, lam, mu, n, seed=seed + 29 + i,
+        est = transform.sin_transform_numeric(sig, lam, mu, n, seed=mc_seed + i,
                                               workers=workers)
         ref = spectral.nu(sig, mu, lam).value
         z = abs(est.mean - ref) / est.stderr
@@ -199,18 +231,18 @@ def run_sin(seed, samples, workers, grid_order, tol=3.0):
     # exact sign relation between the two closed forms
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     sign_err = 0.0
-    sig = GrassmannSignature(3, 2, FieldTag.REAL)
-    for mu in spectral.enumerate_ktypes(sig, 6):
-        lam = _random_lambdas(rng, 1)[0]
-        a = spectral.nu(sig, mu, lam).value
-        b = (-1.0) ** (mu.degree // 2) * spectral.eta(sig, mu, lam).value
-        sign_err = max(sign_err, abs(a - b) / abs(b))
+    for sig in sign_sigs:
+        for mu in spectral.enumerate_ktypes(sig, sign_degree):
+            lam = generic_lambdas(rng, 1)[0]
+            a = spectral.nu(sig, mu, lam).value
+            b = (-1.0) ** (mu.degree // 2) * spectral.eta(sig, mu, lam).value
+            sign_err = max(sign_err, abs(a - b) / abs(b))
     measured = worst if sign_err <= 1e-12 else 1e9
     return _suite("sin", tol, measured,
                   "; ".join(detail) + f"; sign identity {sign_err:.2e} (gate 1e-12)")
 
 
-def run_selberg(seed, samples, workers, grid_order, tol=1e-6):
+def run_selberg(seed, samples=None, workers=1, grid_order=None, tol=1e-6):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
     worst = 0.0
     for _ in range(20):

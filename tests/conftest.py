@@ -1,28 +1,9 @@
 import numpy as np
 import pytest
 
-from coslam.spectral import FieldTag, GrassmannSignature
-
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
-
-
-def all_signatures(max_n, fields=tuple(FieldTag)):
-    """Every valid signature with n <= max_n (p <= q enforced by the type)."""
-    return [
-        GrassmannSignature(n, p, field)
-        for field in fields
-        for n in range(1, max_n + 1)
-        for p in range(1, (n + 1) // 2 + 1)
-    ]
-
-
-def generic_lambdas(rng, count):
-    """Spectral parameters off the real axis, clear of every pole."""
-    re = rng.uniform(-4.0, 4.0, count)
-    im = rng.uniform(0.4, 2.5, count) * rng.choice([-1.0, 1.0], count)
-    return re + 1j * im
 
 
 @pytest.fixture

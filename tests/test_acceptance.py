@@ -1,241 +1,76 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
+Criteria 1-10 run the `coslam verify` suites at acceptance coverage: wider
+signature ranges, more lambdas and pairs, 10^6 Monte Carlo samples, and the
+stricter side gates the suites take as keyword arguments.
+
 Run with `pytest -s tests/test_acceptance.py` to see the pass/fail lines as
 they complete (they are printed regardless; -s shows them live).
 """
 
 import time
 
-import numpy as np
-import pytest
-
-from coslam import cli
-from coslam.geometry import (
-    act,
-    alpha_p,
-    base_point,
-    cos_angle,
-    group_compose,
-    group_inverse,
-    haar_sample,
-    torus_point,
-)
-from coslam.spectral import (
-    FieldTag,
-    GrassmannSignature,
-    c_p,
-    enumerate_ktypes,
-    eta,
-    eta_by_recursion,
-    nu,
-    sphere_eta,
-)
-from coslam.transform import (
-    cos_transform_sphere,
-    funk_hecke_1d,
-    mc_c_p,
-    mc_transform_ktype,
-    selberg_closed,
-    selberg_oracle,
-    sin_transform_numeric,
-    sphere_grid,
-    zonal_values,
-)
-
-R, C, H = FieldTag.REAL, FieldTag.COMPLEX, FieldTag.QUATERNION
+from coslam import cli, verify
 
 
-def report(num, name, ok, measured, tol, t0):
+def report(num, name, ok, measured, tol, t0, detail=""):
     line = (f"criterion {num:2d} [{name}]: {'PASS' if ok else 'FAIL'} "
             f"(measured {measured:.3e}, tolerance {tol:.1e}, {time.time() - t0:.1f}s)")
     print(line, flush=True)
-    assert ok, line
+    assert ok, f"{line}: {detail}"
 
 
-def all_sigs(max_n):
-    return [
-        GrassmannSignature(n, p, field)
-        for field in FieldTag
-        for n in range(1, max_n + 1)
-        for p in range(1, (n + 1) // 2 + 1)
-    ]
+def run_criterion(num, name, suite, seed, **coverage):
+    t0 = time.time()
+    row = suite(seed, **coverage)
+    report(num, name, row["passed"], row["measured"], row["tolerance"], t0, row["detail"])
 
 
 def test_criterion_1_recursion_matches_closed_form():
-    t0 = time.time()
-    rng = np.random.default_rng(101)
-    tol = 1e-10
-    worst = 0.0
-    for sig in all_sigs(6):
-        lams = rng.uniform(-4, 4, 10) + 1j * (rng.uniform(0.4, 2.5, 10)
-                                              * rng.choice([-1, 1], 10))
-        for mu in enumerate_ktypes(sig, 12):
-            for lam in lams:
-                a = eta(sig, mu, lam).value
-                b = eta_by_recursion(sig, mu, lam).value
-                worst = max(worst, abs(a - b) / abs(a))
-    report(1, "recursion = closed form", worst <= tol, worst, tol, t0)
+    run_criterion(1, "recursion = closed form", verify.run_recursion, 101,
+                  max_n=6, max_degree=12, lambdas=10)
 
 
 def test_criterion_2_functional_equation():
-    t0 = time.time()
-    rng = np.random.default_rng(102)
-    tol = 1e-11
-    sigs = all_sigs(6)
-    worst = 0.0
-    count = 0
-    while count < 200:
-        sig = sigs[rng.integers(len(sigs))]
-        pool = enumerate_ktypes(sig, 10)
-        mu = pool[rng.integers(len(pool))]
-        lam = complex(rng.uniform(-4, 4), rng.uniform(0.4, 2.5) * rng.choice([-1, 1]))
-        e1, e2 = eta(sig, mu, lam), eta(sig, mu, -lam)
-        c1, c2 = c_p(sig, lam), c_p(sig, -lam)
-        if not all(v.is_finite for v in (e1, e2, c1, c2)):
-            continue
-        rhs = (c1 * c2).value
-        worst = max(worst, abs((e1 * e2).value - rhs) / abs(rhs))
-        count += 1
-    report(2, "functional equation", worst <= tol, worst, tol, t0)
+    run_criterion(2, "functional equation", verify.run_functional_equation, 102,
+                  max_n=6, max_degree=10)
 
 
 def test_criterion_3_normalization():
-    t0 = time.time()
-    tol = 1e-13
-    worst = max(abs(c_p(sig, sig.rho).value - 1.0) for sig in all_sigs(8))
-    report(3, "c_p(rho) = 1", worst <= tol, worst, tol, t0)
+    run_criterion(3, "c_p(rho) = 1", verify.run_normalization, 103)
 
 
 def test_criterion_4_sphere_specialization():
-    t0 = time.time()
-    rng = np.random.default_rng(104)
-    tol_exact, tol_quad = 1e-12, 1e-7
-    worst_exact = 0.0
-    worst_quad = 0.0
-    for n in (2, 3, 4):
-        sig = GrassmannSignature(n, 1, R)
-        rho = sig.rho
-        for m in (0, 2, 4, 6):
-            for _ in range(10):
-                lam = complex(rng.uniform(-4, 4), rng.uniform(0.4, 2.5))
-                a = sphere_eta(n, m, lam).value
-                b = eta(sig, (m,), lam).value
-                worst_exact = max(worst_exact, abs(a - b) / abs(b))
-            for off in (0.5, 1.0, 2.5):
-                fh = funk_hecke_1d(n, m, rho + off)
-                se = sphere_eta(n, m, rho + off).value
-                worst_quad = max(worst_quad, abs(fh - se) / abs(se))
-    ok = worst_exact <= tol_exact and worst_quad <= tol_quad
-    report(4, "sphere specialization", ok, max(worst_exact * 1e5, worst_quad),
-           tol_quad, t0)
+    run_criterion(4, "sphere specialization", verify.run_sphere, 104, lambdas=10)
 
 
 def test_criterion_5_sphere_quadrature():
-    t0 = time.time()
-    tol_even, tol_odd = 1e-4, 1e-10
-    grid = sphere_grid(2, 64)
-    lam = 3.5  # rho + 2
-    t = grid.points @ np.array([0.0, 0.0, 1.0])
-    fs = np.stack([zonal_values(2, m, t) for m in (0, 2, 4, 1, 3)], axis=1)
-    out = cos_transform_sphere(2, lam, fs, grid)
-    worst_even = 0.0
-    for i, m in enumerate((0, 2, 4)):
-        ev = sphere_eta(2, m, lam).value
-        worst_even = max(worst_even, float(np.abs(out[:, i] - ev * fs[:, i]).max()))
-    worst_odd = float(np.abs(out[:, 3:]).max())
-    ok = worst_even <= tol_even and worst_odd <= tol_odd
-    report(5, "sphere quadrature", ok, max(worst_even, worst_odd * 1e6), tol_even, t0)
+    run_criterion(5, "sphere quadrature", verify.run_quadrature, 105, grid_order=64)
 
 
 def test_criterion_6_monte_carlo_c_function():
-    t0 = time.time()
-    worst_z = 0.0
-    worst_rel = 0.0
-    for i, (n, p, f) in enumerate([(2, 1, R), (3, 2, R), (3, 2, C), (3, 2, H)]):
-        sig = GrassmannSignature(n, p, f)
-        lam = sig.rho + 1.0
-        est = mc_c_p(sig, lam, 1_000_000, seed=600 + i)
-        ref = c_p(sig, lam).value
-        worst_z = max(worst_z, abs(est.mean - ref) / est.stderr)
-        worst_rel = max(worst_rel, est.stderr / abs(est.mean))
-    ok = worst_z <= 3.0 and worst_rel < 0.01
-    report(6, "Monte Carlo c_p", ok, worst_z, 3.0, t0)
+    run_criterion(6, "Monte Carlo c_p", verify.run_mc, 600,
+                  samples=1_000_000, max_rel_stderr=0.01)
 
 
 def test_criterion_7_higher_rank_ktype():
-    t0 = time.time()
-    sig = GrassmannSignature(3, 2, R)
-    lam = sig.rho + 2.0
-    est = mc_transform_ktype(sig, lam, (2, 0), 1_000_000, seed=700)
-    ref = eta(sig, (2, 0), lam).value
-    z = abs(est.mean - ref) / est.stderr
-    report(7, "higher-rank K-type MC", z <= 3.0, z, 3.0, t0)
+    run_criterion(7, "higher-rank K-type MC", verify.run_ktype, 107,
+                  samples=1_000_000, mc_seed=700)
 
 
 def test_criterion_8_selberg():
-    t0 = time.time()
-    rng = np.random.default_rng(108)
-    tol = 1e-6
-    worst = 0.0
-    for _ in range(20):
-        p = int(rng.integers(1, 3))
-        a = rng.uniform(0.4, 1.6)
-        g1 = rng.uniform(1.0, 3.0)
-        g2 = rng.uniform(1.0, 3.0)
-        closed = selberg_closed(p, a, g1, g2).value.real
-        oracle = selberg_oracle(p, a, g1, g2)
-        worst = max(worst, abs(closed - oracle) / max(1.0, abs(closed)))
-    report(8, "Selberg closed vs oracle", worst <= tol, worst, tol, t0)
+    run_criterion(8, "Selberg closed vs oracle", verify.run_selberg, 108)
 
 
 def test_criterion_9_sine_spectrum():
-    t0 = time.time()
-    rng = np.random.default_rng(109)
-    worst_z = 0.0
-    for i, (sig, mu) in enumerate([
-        (GrassmannSignature(1, 1, R), (2,)),
-        (GrassmannSignature(3, 2, R), (2, 0)),
-    ]):
-        lam = sig.rho + 2.0
-        est = sin_transform_numeric(sig, lam, mu, 1_000_000, seed=900 + i)
-        ref = nu(sig, mu, lam).value
-        worst_z = max(worst_z, abs(est.mean - ref) / est.stderr)
-    # sign relation nu = (-1)^(|mu|/2) eta, exact in the closed forms
-    sign_err = 0.0
-    for sig in (GrassmannSignature(1, 1, R), GrassmannSignature(3, 2, C),
-                GrassmannSignature(3, 2, H)):
-        for mu in enumerate_ktypes(sig, 8):
-            lam = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2.0))
-            a = nu(sig, mu, lam).value
-            b = (-1.0) ** (mu.degree // 2) * eta(sig, mu, lam).value
-            sign_err = max(sign_err, abs(a - b) / abs(b))
-    ok = worst_z <= 3.0 and sign_err <= 1e-12
-    report(9, "sine spectrum", ok, worst_z, 3.0, t0)
+    run_criterion(9, "sine spectrum", verify.run_sin, 109, samples=1_000_000, mc_seed=900,
+                  sign_sigs=[s for s in verify.all_signatures(3) if s.split_rank_equal],
+                  sign_degree=8)
 
 
 def test_criterion_10_geometry_identities():
-    t0 = time.time()
-    rng = np.random.default_rng(110)
-    worst_angle = 0.0
-    worst_inv = 0.0
-    worst_torus = 0.0
-    for field in FieldTag:
-        sig = GrassmannSignature(3, 2, field)
-        bo = base_point(sig)
-        for _ in range(1000):
-            k = haar_sample(sig, rng)
-            h = haar_sample(sig, rng)
-            ca = cos_angle(act(k, bo), act(h, bo))
-            al = alpha_p(sig, group_compose(group_inverse(h), k))
-            worst_angle = max(worst_angle, abs(ca - al))
-            worst_inv = max(worst_inv, abs(alpha_p(sig, k) - alpha_p(sig, group_inverse(k))))
-        for _ in range(50):
-            t = rng.uniform(0, np.pi, sig.p)
-            worst_torus = max(worst_torus, abs(alpha_p(sig, torus_point(sig, t))
-                                               - np.abs(np.cos(t)).prod()))
-    ok = worst_angle <= 1e-10 and worst_inv <= 1e-12 and worst_torus <= 1e-12
-    report(10, "geometry identities", ok, max(worst_angle, worst_inv, worst_torus),
-           1e-10, t0)
+    run_criterion(10, "geometry identities", verify.run_geometry, 110,
+                  pairs=1000, torus_points=50, exact_tol=1e-12)
 
 
 def test_criterion_11_deterministic_reports(tmp_path):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -268,9 +269,12 @@ class TestNonFiniteAndOverflow:
         (["cp", "--lambda-grid", "0:1:3", "--lambda-im", "nan"], "--lambda-im"),
         (["poles", "--re-min", "-inf"], "--re-min"),
         (["poles", "--re-max", "inf"], "--re-max"),
+        (["cp", "--lambda-grid", "0:1.7976931348623157e308:7"], "--lambda-grid"),
     ])
     def test_non_finite_value_rejected_by_name(self, capsys, argv, option):
-        status, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings():  # a numpy warning would print before the error
+            warnings.simplefilter("error")
+            status, out, err = run_cli(capsys, *argv)
         assert status == 1 and out == ""
         message = one_error_object(err)["error"]["message"]
         assert option in message and "finite" in message

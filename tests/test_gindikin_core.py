@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from coslam import spectral
 from coslam.scalar import GammaPole, log_gamma
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, enumerate_ktypes, eta, nu
-
-from conftest import all_signatures
+from coslam.verify import all_signatures
 
 R, C, H = FieldTag.REAL, FieldTag.COMPLEX, FieldTag.QUATERNION
 

@@ -122,14 +122,14 @@ class TestGaussLegendre:
 
     def test_t20_integral(self):
         rule = gauss_legendre(16)
-        assert abs(rule.integrate(rule.nodes**20) - 2.0 / 21.0) < 1e-13
+        assert abs(rule.nodes**20 @ rule.weights - 2.0 / 21.0) < 1e-13
 
     @pytest.mark.parametrize("order", [3, 8, 16, 48])
     def test_monomial_exactness(self, order):
         rule = gauss_legendre(order)
         for deg in range(0, 2 * order, 2):
             exact = 2.0 / (deg + 1)
-            assert abs(rule.integrate(rule.nodes**deg) - exact) < 1e-13
+            assert abs(rule.nodes**deg @ rule.weights - exact) < 1e-13
 
     def test_invariants(self):
         rule = gauss_legendre(64)

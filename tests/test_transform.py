@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from coslam import spectral
 from coslam.geometry import _DRAW_CHUNK, frame_batch, haar_batch, quat_embed
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_eta
 from coslam.transform import (
@@ -37,6 +38,30 @@ R, C, H = FieldTag.REAL, FieldTag.COMPLEX, FieldTag.QUATERNION
 
 def sig(n, p, field):
     return GrassmannSignature(n, p, field)
+
+
+def test_oracles_never_call_the_closed_forms(monkeypatch):
+    """Each oracle integrates on its own: none reaches the Gindikin core,
+    the sphere closed form or the lattice recursion it is checked against."""
+    called = []
+
+    def forbid(name):
+        def closed_form(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"an oracle called spectral.{name}")
+        return closed_form
+
+    for name in ("_gindikin_ratio", "sphere_eta", "eta_by_recursion"):
+        monkeypatch.setattr(spectral, name, forbid(name))
+    s = sig(3, 2, R)
+    grid = sphere_grid(2, 8)
+    cos_transform_sphere(2, 3.5, zonal_values(2, 2, grid.points[:, 2]), grid)
+    funk_hecke_1d(3, 2, 4.0)
+    mc_c_p(s, s.rho + 1.0, 1000, seed=0)
+    mc_transform_ktype(s, s.rho + 2.0, (2, 0), 1000, seed=0)
+    sin_transform_numeric(s, s.rho + 2.0, (2, 0), 1000, seed=0)
+    selberg_oracle(2, 1.0, 2.0, 2.0)
+    assert called == []
 
 
 # Values computed once with mpmath quadrature of the 1-D eigenvalue integral.
