@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coslam.cli import main
-from coslam import cli, spectral
+from coslam import cli, spectral, verify
 from coslam.spectral import (FieldTag, GrassmannSignature, c_p, enumerate_ktypes, eta, ktype,
                              nu, omega)
 
@@ -171,6 +171,14 @@ class TestVerify:
         report = json.loads(out)
         check(report)
         assert report["passed"] is False
+
+    def test_geometry_row_reads_its_gate(self):
+        row = verify.run_geometry(0)
+        assert row["passed"] and row["measured"] == row["tolerance"] == 1e-10
+        # gates below the rounding noise (about 1e-16) of either identity kind
+        for gates in ({"tol": 1e-300}, {"exact_tol": 1e-300}):
+            row = verify.run_geometry(0, **gates)
+            assert not row["passed"] and row["measured"] > row["tolerance"]
 
     def test_unknown_suite_rejected(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--suite", "nope")
