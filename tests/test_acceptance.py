@@ -13,17 +13,17 @@ import time
 from coslam import cli, verify
 
 
-def report(num, name, ok, measured, tol, t0, detail=""):
-    line = (f"criterion {num:2d} [{name}]: {'PASS' if ok else 'FAIL'} "
-            f"(measured {measured:.3e}, tolerance {tol:.1e}, {time.time() - t0:.1f}s)")
+def report(num, name, row, t0):
+    line = (f"criterion {num:2d} [{name}]: {'PASS' if row['passed'] else 'FAIL'} "
+            f"(measured {row['measured']:.3e}, tolerance {row['tolerance']:.1e}, "
+            f"{time.time() - t0:.1f}s)")
     print(line, flush=True)
-    assert ok, f"{line}: {detail}"
+    assert row["passed"], f"{line}: {row['detail']}"
 
 
 def run_criterion(num, name, suite, seed, **coverage):
     t0 = time.time()
-    row = suite(seed, **coverage)
-    report(num, name, row["passed"], row["measured"], row["tolerance"], t0, row["detail"])
+    report(num, name, suite(seed, **coverage), t0)
 
 
 def test_criterion_1_recursion_matches_closed_form():
@@ -80,5 +80,6 @@ def test_criterion_11_deterministic_reports(tmp_path):
     assert cli.main(argv + ["--output", str(f1)]) == 0
     assert cli.main(argv + ["--output", str(f2)]) == 0
     identical = f1.read_bytes() == f2.read_bytes()
-    report(11, "byte-identical verify reports", identical,
-           0.0 if identical else 1.0, 0.5, t0)
+    report(11, "byte-identical verify reports",
+           {"passed": identical, "measured": float(not identical), "tolerance": 0.5,
+            "detail": "two runs of one verify config"}, t0)
