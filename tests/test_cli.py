@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coslam.cli import main
-from coslam import cli, spectral, verify
+from coslam import cli, geometry, spectral, transform, verify
 from coslam.spectral import (FieldTag, GrassmannSignature, c_p, enumerate_ktypes, eta, ktype,
                              nu, omega)
 
@@ -172,13 +172,26 @@ class TestVerify:
         check(report)
         assert report["passed"] is False
 
-    def test_geometry_row_reads_its_gate(self):
+    def test_geometry_row_reads_its_gate(self, monkeypatch):
         row = verify.run_geometry(0)
         assert row["passed"] and row["measured"] == row["tolerance"] == 1e-10
-        # gates below the rounding noise (about 1e-16) of either identity kind
-        for gates in ({"tol": 1e-300}, {"exact_tol": 1e-300}):
-            row = verify.run_geometry(0, **gates)
-            assert not row["passed"] and row["measured"] > row["tolerance"]
+        # an angle gate below the rounding noise (about 1e-16)
+        row = verify.run_geometry(0, tol=1e-300)
+        assert not row["passed"] and row["measured"] > row["tolerance"]
+        # a torus identity off by 1e-6, far above its 1e-12 gate
+        torus_point = geometry.torus_point
+        monkeypatch.setattr(geometry, "torus_point", lambda sig, t: torus_point(sig, t + 1e-6))
+        row = verify.run_geometry(0)
+        assert not row["passed"] and row["measured"] > row["tolerance"]
+
+    @pytest.mark.parametrize("suite,module,oracle", [
+        ("selberg", transform, "selberg_oracle"),
+        ("sphere", transform, "funk_hecke_1d"),
+        ("geometry", geometry, "cos_angle"),
+    ])
+    def test_nan_error_fails_the_row(self, monkeypatch, suite, module, oracle):
+        monkeypatch.setattr(module, oracle, lambda *args, **kwargs: float("nan"))
+        assert verify.SUITES[suite](0)["passed"] is False
 
     def test_unknown_suite_rejected(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--suite", "nope")
