@@ -261,16 +261,13 @@ def _config_from_args(args):
                 start, stop, count = float(bits[0]), float(bits[1]), int(bits[2])
             except ValueError:
                 raise _CliError("--lambda-grid must be START:STOP:COUNT") from None
-            if not (math.isfinite(start) and math.isfinite(stop - start)):
-                raise _CliError(f"--lambda-grid START, STOP and STOP - START must be finite, "
-                                f"got {args.lambda_grid!r}")
             if not 1 <= count <= MAX_GRID_COUNT:
                 raise _CliError(f"--lambda-grid COUNT must be in [1, {MAX_GRID_COUNT}], "
                                 f"got {count}")
-            # _cmd_cp's last point; rounding can carry it past the double range
-            if count > 1 and not math.isfinite(start + (count - 1) * ((stop - start) / (count - 1))):
-                raise _CliError(f"--lambda-grid last point START + (COUNT - 1) * STEP must be "
-                                f"finite, got {args.lambda_grid!r}")
+            # the last point also covers STOP - START; rounding can carry it past the range
+            if not all(map(math.isfinite, (start, stop, _grid_points(start, stop, count)[-1]))):
+                raise _CliError(f"--lambda-grid START, STOP and every grid point must be finite, "
+                                f"got {args.lambda_grid!r}")
             cfg.lam_grid = (start, stop, count)
             cfg.lam = complex(start, args.lambda_im)
     elif args.command == "poles":
@@ -382,12 +379,20 @@ def _cmd_spectrum(cfg):
                  eta=etas, nu=nus), 0
 
 
+def _grid_points(start, stop, count):
+    """Real parts of the `--lambda-grid START:STOP:COUNT` points; a point
+    past the double range reads inf or nan, without a numpy warning."""
+    if count == 1:
+        return np.array([start])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return start + np.arange(count) * ((stop - start) / (count - 1))
+
+
 def _cmd_cp(cfg):
     sig = cfg.signature()
     start, stop, count = cfg.lam_grid or (cfg.lam.real, cfg.lam.real, 1)
     lams = np.full(count, cfg.lam)
-    if count > 1:
-        lams.real = start + np.arange(count) * ((stop - start) / (count - 1))
+    lams.real = _grid_points(start, stop, count)
     (cps,) = _cell_texts(cfg.fmt, c_p(sig, lams))
     return _rows(cfg, lambda_re=lams.real.tolist(), lambda_im=[repr(cfg.lam.imag)] * count,
                  cp=cps), 0
