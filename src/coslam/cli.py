@@ -142,8 +142,10 @@ def _parse_tolerances(items):
             out[name] = float(val)
         except ValueError:
             raise _CliError(f"tolerance override {item!r} has a non-numeric value") from None
-        if not (math.isfinite(out[name]) and out[name] > 0.0):
-            raise _CliError(f"tolerance override {item!r} must be finite and positive")
+        # a failing row reads the largest double, which no tolerance may reach
+        if not 0.0 < out[name] < sys.float_info.max:
+            raise _CliError(f"tolerance override {item!r} must be positive and below "
+                            f"{sys.float_info.max!r}")
     return out
 
 
@@ -282,9 +284,6 @@ def _config_from_args(args):
                             f"{MAX_GRID_COUNT} rows at p = {cfg.p}")
     elif args.command == "verify":
         cfg.suites = tuple(args.suite) if args.suite else tuple(verify_mod.SUITE_NAMES)
-        unknown = [s for s in cfg.suites if s not in verify_mod.SUITE_NAMES]
-        if unknown:
-            raise _CliError(f"unknown suite(s): {', '.join(unknown)}")
         cfg.seed = args.seed
         cfg.samples = args.samples
         cfg.grid_order = args.grid_order

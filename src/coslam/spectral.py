@@ -4,9 +4,10 @@ The transform acts as a scalar eta_mu(lambda) on each irreducible piece of
 L^2 of the Grassmannian (the K-types, indexed by p-tuples of even integers).
 This module implements:
 
-* the product-of-Gammas function gindikin_gamma underlying every closed form,
+* the Gindikin Gamma gindikin_gamma on its own (the closed forms do not call it),
 * the closed forms c_p, eta, nu (one vectorized Gindikin-Gamma ratio over
-  arrays of lambda and K-types) and the sphere specialization sphere_eta,
+  arrays of lambda and K-types, whose factors _plan lays out and
+  _gindikin_block evaluates) and the sphere specialization sphere_eta,
 * the adjacent-type step ratio and the spectrum-generating recursion that
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, adjacency, Casimir eigenvalue).

@@ -7,7 +7,8 @@ That makes them usable as oracles:
   quadrature on S^1 and S^2, through the grid's rotational symmetry,
 * `funk_hecke_1d` reduces the sphere eigenvalue to a 1-D integral,
 * `mc_c_p`, `mc_transform_ktype` and `sin_transform_numeric` estimate the
-  Grassmannian eigenvalues by Monte Carlo over Haar measure,
+  Grassmannian eigenvalues by Monte Carlo over Haar measure, each one call
+  of the one estimator body `_mc_eigenvalue`,
 * `selberg_oracle` brute-forces the Selberg integral that powers the
   closed-form c-function, against `selberg_closed`.
 
@@ -472,28 +473,34 @@ def _frame_integrands(sig, frames, block):
     return alpha, _sqnorm(q[:, :, :p]) - p ** 2 / (sig.n + 1.0)
 
 
-def _ktype_base_value(sig):
-    return sig.p * sig.q / (sig.n + 1.0)
-
-
-def _check_ktype_library(sig, mu):
+def _mc_eigenvalue(sig, lam, mu, samples, seed, workers, block):
+    """The one Monte Carlo estimator body behind mc_c_p, mc_transform_ktype
+    and sin_transform_numeric: the mean of alpha_p^(lambda - rho), with alpha_p
+    read from `block` (see _frame_integrands), times the library test value
+    of mu over its value p q / (n + 1) at the base point (1 when mu = 0)."""
+    _require_convergent(lam, sig.rho)
     mu = ktype(sig, mu)
     zero = (0,) * sig.p
-    first = (2,) + (0,) * (sig.p - 1)
+    first = (2,) + zero[1:]
     if mu.m not in (zero, first):
         raise ValueError(
             f"unsupported K-type {mu}: the Monte Carlo test-function library "
             f"covers mu = {zero} and mu = {first}"
         )
-    return mu
+    expo = complex(lam) - sig.rho
+    base = sig.p * sig.q / (sig.n + 1.0)
+
+    def values(g):
+        alpha, test = _frame_integrands(sig, g, block)
+        kern = _kernel_pow(alpha, expo)
+        return kern if mu.is_zero else kern * test / base
+
+    return _mc_mean(sig, values, samples, seed, workers)
 
 
 def mc_c_p(sig, lam, samples, seed, workers=1):
     """Monte Carlo estimate of the c-function: mean of alpha_p(k)^(lambda-rho)."""
-    _require_convergent(lam, sig.rho)
-    expo = complex(lam) - sig.rho
-    return _mc_mean(sig, lambda g: _kernel_pow(_frame_integrands(sig, g, 0)[0], expo),
-                    samples, seed, workers)
+    return _mc_eigenvalue(sig, lam, (0,) * sig.p, samples, seed, workers, 0)
 
 
 def mc_transform_ktype(sig, lam, mu, samples, seed, workers=1):
@@ -503,18 +510,7 @@ def mc_transform_ktype(sig, lam, mu, samples, seed, workers=1):
     function attached to mu; supported: mu = 0 (constants, same as mc_c_p)
     and mu = (2, 0, ..., 0) (the centered degree-2 zonal invariant).
     """
-    _require_convergent(lam, sig.rho)
-    mu = _check_ktype_library(sig, mu)
-    if mu.is_zero:
-        return mc_c_p(sig, lam, samples, seed, workers)
-    expo = complex(lam) - sig.rho
-    base = _ktype_base_value(sig)
-
-    def values(g):
-        alpha, test = _frame_integrands(sig, g, 0)
-        return _kernel_pow(alpha, expo) * test / base
-
-    return _mc_mean(sig, values, samples, seed, workers)
+    return _mc_eigenvalue(sig, lam, mu, samples, seed, workers, 0)
 
 
 def sin_transform_numeric(sig, lam, mu, samples, seed, workers=1):
@@ -526,17 +522,7 @@ def sin_transform_numeric(sig, lam, mu, samples, seed, workers=1):
     """
     if not sig.split_rank_equal:
         raise ValueError("the sine transform needs p = q")
-    _require_convergent(lam, sig.rho)
-    mu = _check_ktype_library(sig, mu)
-    expo = complex(lam) - sig.rho
-    base = _ktype_base_value(sig)
-
-    def values(g):
-        alpha, test = _frame_integrands(sig, g, 1)
-        kern = _kernel_pow(alpha, expo)
-        return kern if mu.is_zero else kern * test / base
-
-    return _mc_mean(sig, values, samples, seed, workers)
+    return _mc_eigenvalue(sig, lam, mu, samples, seed, workers, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ defaults are the `coslam verify` scale; `tests/test_acceptance.py` runs the
 same suites at acceptance scale.
 """
 
+import math
+import sys
+
 import numpy as np
 
 from . import geometry, spectral, transform
@@ -38,13 +41,21 @@ def generic_lambdas(rng, count):
     return re + 1j * im
 
 
-def _worst(worst, err):
-    """The larger of two errors, keeping a NaN (Python's `max` drops it when
-    it comes second, so a NaN error would read as a pass)."""
-    return err if not err <= worst else worst
+def _worst(errors):
+    """The largest error, or NaN if any is NaN (`max` alone drops a NaN that
+    does not come first, so a NaN error would read as a pass)."""
+    return math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
 
 
-def _suite(name, tolerance, measured, detail=""):
+def _row(name, tolerance, errors, detail="", gates=()):
+    """A suite's row: its worst error against its tolerance, with its fixed
+    side gates as (errors, gate) pairs, each passing when every error is
+    below its gate.  A NaN or infinite error or a failed gate reads as the
+    largest double, so `passed` is exactly `measured <= tolerance` for every
+    smaller tolerance, and the row is valid JSON; `detail` keeps the figures."""
+    measured = _worst(errors)
+    if not (math.isfinite(measured) and all(e < gate for errs, gate in gates for e in errs)):
+        measured = sys.float_info.max
     return {
         "name": name,
         "passed": bool(measured <= tolerance),
@@ -57,17 +68,15 @@ def _suite(name, tolerance, measured, detail=""):
 def run_recursion(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
                   max_n=4, max_degree=8, lambdas=4):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    worst = 0.0
-    cases = 0
+    errors = []
     for sig in all_signatures(max_n):
         lams = generic_lambdas(rng, lambdas)
         mus = spectral.enumerate_ktypes(sig, max_degree)
         for mu, closed in zip(mus, spectral.eta(sig, mus, lams)):
             for a, b in zip(closed, spectral.eta_by_recursion(sig, mu, lams)):
                 a, b = a.value, b.value
-                worst = _worst(worst, abs(a - b) / max(abs(a), 1e-300))
-                cases += 1
-    return _suite("recursion", tol, worst, f"{cases} (sig, mu, lambda) cases")
+                errors.append(abs(a - b) / max(abs(a), 1e-300))
+    return _row("recursion", tol, errors, f"{len(errors)} (sig, mu, lambda) cases")
 
 
 def run_functional_equation(seed, samples=None, workers=1, grid_order=None, tol=1e-11, *,
@@ -75,7 +84,7 @@ def run_functional_equation(seed, samples=None, workers=1, grid_order=None, tol=
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     sigs = all_signatures(max_n)
     ktypes = [spectral.enumerate_ktypes(sig, max_degree) for sig in sigs]
-    worst = 0.0
+    errors = []
     for _ in range(cases):
         i = rng.integers(len(sigs))
         sig, mus = sigs[i], ktypes[i]
@@ -83,23 +92,19 @@ def run_functional_equation(seed, samples=None, workers=1, grid_order=None, tol=
         lam = generic_lambdas(rng, 1)[0]
         lhs = spectral.eta(sig, mu, [lam, -lam]).prod().value
         rhs = spectral.c_p(sig, [lam, -lam]).prod().value
-        worst = _worst(worst, abs(lhs - rhs) / abs(rhs))
-    return _suite("functional-equation", tol, worst, f"{cases} random cases")
+        errors.append(abs(lhs - rhs) / abs(rhs))
+    return _row("functional-equation", tol, errors, f"{cases} random cases")
 
 
 def run_normalization(seed, samples=None, workers=1, grid_order=None, tol=1e-13):
-    worst = 0.0
-    count = 0
-    for sig in all_signatures(8):
-        worst = _worst(worst, abs(spectral.c_p(sig, sig.rho).value - 1.0))
-        count += 1
-    return _suite("normalization", tol, worst, f"c_p(rho) over {count} signatures")
+    errors = [abs(spectral.c_p(sig, sig.rho).value - 1.0) for sig in all_signatures(8)]
+    return _row("normalization", tol, errors, f"c_p(rho) over {len(errors)} signatures")
 
 
 def run_sphere(seed, samples=None, workers=1, grid_order=None, tol=1e-7, *, lambdas=5):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    worst_exact = 0.0
-    worst_fh = 0.0
+    exact = []
+    fh = []
     for n in (2, 3, 4):
         sig = GrassmannSignature(n, 1, FieldTag.REAL)
         rho = sig.rho
@@ -107,19 +112,13 @@ def run_sphere(seed, samples=None, workers=1, grid_order=None, tol=1e-7, *, lamb
             for lam in generic_lambdas(rng, lambdas):
                 a = spectral.sphere_eta(n, m, lam).value
                 b = spectral.eta(sig, (m,), lam).value
-                worst_exact = _worst(worst_exact, abs(a - b) / abs(b))
+                exact.append(abs(a - b) / abs(b))
             for off in (0.5, 1.0, 2.5):
                 lam = rho + off
-                fh = transform.funk_hecke_1d(n, m, lam)
                 se = spectral.sphere_eta(n, m, lam).value
-                worst_fh = _worst(worst_fh, abs(fh - se) / abs(se))
-    measured = worst_fh if worst_exact <= 1e-12 else 1.0
-    return _suite(
-        "sphere",
-        tol,
-        measured,
-        f"closed-form identity {worst_exact:.2e} (gate 1e-12), quadrature {worst_fh:.2e}",
-    )
+                fh.append(abs(transform.funk_hecke_1d(n, m, lam) - se) / abs(se))
+    return _row("sphere", tol, fh, f"closed-form identity {_worst(exact):.2e} (gate 1e-12), "
+                f"quadrature {_worst(fh):.2e}", [(exact, 1e-12)])
 
 
 def run_quadrature(seed, samples=None, workers=1, grid_order=None, tol=1e-4):
@@ -129,24 +128,18 @@ def run_quadrature(seed, samples=None, workers=1, grid_order=None, tol=1e-4):
     lam = rho + 2.0
     pole = np.array([0.0, 0.0, 1.0])
     t = grid.points @ pole
-    worst = 0.0
-    for m in (0, 2, 4):
+    zonal = []
+    odd = []
+    for m in range(5):
         f = transform.zonal_values(2, m, t)
         out = transform.cos_transform_sphere(2, lam, f, grid)
-        ev = spectral.sphere_eta(2, m, lam).value
-        worst = _worst(worst, float(np.abs(out - ev * f).max()))
-    odd = 0.0
-    for m in (1, 3):
-        f = transform.zonal_values(2, m, t)
-        out = transform.cos_transform_sphere(2, lam, f, grid)
-        odd = _worst(odd, float(np.abs(out).max()))
-    measured = worst if odd <= 1e-10 else 1.0
-    return _suite(
-        "quadrature",
-        tol,
-        measured,
-        f"grid order {order}: zonal error {worst:.2e}, odd leakage {odd:.2e} (gate 1e-10)",
-    )
+        if m % 2:
+            odd.append(float(np.abs(out).max()))
+        else:
+            ev = spectral.sphere_eta(2, m, lam).value
+            zonal.append(float(np.abs(out - ev * f).max()))
+    return _row("quadrature", tol, zonal, f"grid order {order}: zonal error {_worst(zonal):.2e}, "
+                f"odd leakage {_worst(odd):.2e} (gate 1e-10)", [(odd, 1e-10)])
 
 
 def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
@@ -158,8 +151,8 @@ def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
     worst angle error rounded up to the row's gate: a passing row reads its
     tolerance, and rounding-level changes leave the report bytes alone."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    worst_angle = 0.0
-    worst_exact = 0.0
+    angle = [tol]  # the rounding up to the gate
+    exact = []
     for field in FieldTag:
         sig = GrassmannSignature(3, 2, field)
         bo = geometry.base_point(sig)
@@ -168,23 +161,22 @@ def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
             h = geometry.haar_sample(sig, rng)
             ca = geometry.cos_angle(geometry.act(k, bo), geometry.act(h, bo))
             al = geometry.alpha_p(sig, geometry.group_compose(geometry.group_inverse(h), k))
-            worst_angle = _worst(worst_angle, abs(ca - al))
+            angle.append(abs(ca - al))
             inverse = geometry.alpha_p(sig, k) - geometry.alpha_p(sig, geometry.group_inverse(k))
-            worst_exact = _worst(worst_exact, abs(inverse))
+            exact.append(abs(inverse))
         for _ in range(torus_points):
             t = rng.uniform(0.0, np.pi, sig.p)
             torus = geometry.alpha_p(sig, geometry.torus_point(sig, t)) - np.abs(np.cos(t)).prod()
-            worst_exact = _worst(worst_exact, abs(torus))
-    measured = _worst(tol, worst_angle) if worst_exact <= 1e-12 else 1.0
-    return _suite("geometry", tol, measured, "cocycle/angle identities, 3 fields")
+            exact.append(abs(torus))
+    return _row("geometry", tol, angle, "cocycle/angle identities, 3 fields", [(exact, 1e-12)])
 
 
 def run_mc(seed, samples=None, workers=1, grid_order=None, tol=3.0, *, max_rel_stderr=None):
     """z-scores of Monte Carlo c_p at stream seeds seed, seed + 1, ...; with
     `max_rel_stderr` every estimate must also have stderr/|mean| below it."""
     n = samples or 100_000
-    worst = 0.0
-    worst_rel = 0.0
+    zs = []
+    rel = []
     detail = []
     for i, (nn, p, f) in enumerate([(2, 1, FieldTag.REAL), (3, 2, FieldTag.REAL),
                                     (3, 2, FieldTag.COMPLEX), (3, 2, FieldTag.QUATERNION)]):
@@ -192,15 +184,14 @@ def run_mc(seed, samples=None, workers=1, grid_order=None, tol=3.0, *, max_rel_s
         lam = sig.rho + 1.0
         est = transform.mc_c_p(sig, lam, n, seed=seed + i, workers=workers)
         ref = spectral.c_p(sig, lam).value
-        z = abs(est.mean - ref) / est.stderr
-        worst = _worst(worst, z)
-        worst_rel = _worst(worst_rel, est.stderr / abs(est.mean))
-        detail.append(f"{sig.label()} z={z:.2f}")
+        zs.append(abs(est.mean - ref) / est.stderr)
+        rel.append(est.stderr / abs(est.mean))
+        detail.append(f"{sig.label()} z={zs[-1]:.2f}")
+    gates = []
     if max_rel_stderr is not None:
-        detail.append(f"stderr/|mean| {worst_rel:.2e} (gate {max_rel_stderr:g})")
-        if not worst_rel < max_rel_stderr:
-            worst = 1e9
-    return _suite("mc", tol, worst, "; ".join(detail) + f" ({n} samples, z-units)")
+        detail.append(f"stderr/|mean| {_worst(rel):.2e} (gate {max_rel_stderr:g})")
+        gates.append((rel, max_rel_stderr))
+    return _row("mc", tol, zs, "; ".join(detail) + f" ({n} samples, z-units)", gates)
 
 
 def run_ktype(seed, samples=None, workers=1, grid_order=None, tol=3.0):
@@ -211,7 +202,7 @@ def run_ktype(seed, samples=None, workers=1, grid_order=None, tol=3.0):
     est = transform.mc_transform_ktype(sig, lam, (2, 0), n, seed=seed + 17, workers=workers)
     ref = spectral.eta(sig, (2, 0), lam).value
     z = abs(est.mean - ref) / est.stderr
-    return _suite("ktype", tol, z, f"(3,2,R) mu=(2,0): z={z:.2f} ({n} samples)")
+    return _row("ktype", tol, [z], f"(3,2,R) mu=(2,0): z={z:.2f} ({n} samples)")
 
 
 def run_sin(seed, samples=None, workers=1, grid_order=None, tol=3.0, *,
@@ -220,7 +211,7 @@ def run_sin(seed, samples=None, workers=1, grid_order=None, tol=3.0, *,
     seed + 30, gated on the exact sign relation nu = (-1)^(|mu|/2) eta over
     `sign_sigs` up to `sign_degree`."""
     n = samples or 100_000
-    worst = 0.0
+    zs = []
     detail = []
     for i, (sig, mu) in enumerate([
         (GrassmannSignature(1, 1, FieldTag.REAL), (2,)),
@@ -230,26 +221,25 @@ def run_sin(seed, samples=None, workers=1, grid_order=None, tol=3.0, *,
         est = transform.sin_transform_numeric(sig, lam, mu, n, seed=seed + 29 + i,
                                               workers=workers)
         ref = spectral.nu(sig, mu, lam).value
-        z = abs(est.mean - ref) / est.stderr
-        worst = _worst(worst, z)
-        detail.append(f"{sig.label()} z={z:.2f}")
+        zs.append(abs(est.mean - ref) / est.stderr)
+        detail.append(f"{sig.label()} z={zs[-1]:.2f}")
     # exact sign relation between the two closed forms
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    sign_err = 0.0
+    sign = []
     for sig in sign_sigs:
         for mu in spectral.enumerate_ktypes(sig, sign_degree):
             lam = generic_lambdas(rng, 1)[0]
             a = spectral.nu(sig, mu, lam).value
             b = (-1.0) ** (mu.degree // 2) * spectral.eta(sig, mu, lam).value
-            sign_err = _worst(sign_err, abs(a - b) / abs(b))
-    measured = worst if sign_err <= 1e-12 else 1e9
-    return _suite("sin", tol, measured,
-                  "; ".join(detail) + f"; sign identity {sign_err:.2e} (gate 1e-12)")
+            sign.append(abs(a - b) / abs(b))
+    return _row("sin", tol, zs,
+                "; ".join(detail) + f"; sign identity {_worst(sign):.2e} (gate 1e-12)",
+                [(sign, 1e-12)])
 
 
 def run_selberg(seed, samples=None, workers=1, grid_order=None, tol=1e-6):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
-    worst = 0.0
+    errors = []
     for _ in range(20):
         p = int(rng.integers(1, 3))
         a = rng.uniform(0.4, 1.6)
@@ -257,8 +247,8 @@ def run_selberg(seed, samples=None, workers=1, grid_order=None, tol=1e-6):
         g2 = rng.uniform(1.0, 3.0)
         closed = transform.selberg_closed(p, a, g1, g2).value.real
         oracle = transform.selberg_oracle(p, a, g1, g2)
-        worst = _worst(worst, abs(closed - oracle) / max(1.0, abs(closed)))
-    return _suite("selberg", tol, worst, "20 random positive parameter sets")
+        errors.append(abs(closed - oracle) / max(1.0, abs(closed)))
+    return _row("selberg", tol, errors, "20 random positive parameter sets")
 
 
 SUITES = {
@@ -278,15 +268,16 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names, seed, samples=None, workers=1, grid_order=None, tolerances=None):
-    """Run the named suites; returns a list of result rows."""
+    """Run the named suites; returns a list of result rows.
+
+    Every suite name and tolerance name is checked before any suite runs."""
     tolerances = tolerances or {}
+    unknown = [name for name in (*names, *tolerances) if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite(s) {', '.join(map(repr, unknown))}; "
+                         f"available: {', '.join(SUITE_NAMES)}")
     rows = []
     for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
-        runner = SUITES[name]
-        if name in tolerances:
-            rows.append(runner(seed, samples, workers, grid_order, tol=tolerances[name]))
-        else:
-            rows.append(runner(seed, samples, workers, grid_order))
+        tol = {"tol": tolerances[name]} if name in tolerances else {}
+        rows.append(SUITES[name](seed, samples, workers, grid_order, **tol))
     return rows

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coslam.cli import main
 from coslam import cli, geometry, spectral, transform, verify
@@ -203,6 +206,85 @@ class TestVerify:
         status, out, _ = run_cli(capsys, "verify", "--suite", "normalization")
         assert status == 0
         assert json.loads(out)["config"]["workers"] == 3
+
+
+def scaled(fn, factor):
+    return lambda *args: types.SimpleNamespace(value=factor * fn(*args).value)
+
+
+class TestRowRule:
+    """A verify row passes exactly when measured <= tolerance; a failed side
+    gate or a NaN error reads the largest double, whatever the tolerance."""
+
+    def failing_report(self, capsys, suite, *argv):
+        status, out, err = run_cli(capsys, "verify", "--suite", suite, *argv)
+        assert status == 2 and err == ""
+        report = json.loads(out)
+        check(report)
+        (row,) = report["suites"]
+        assert row["passed"] is False and row["measured"] == sys.float_info.max
+
+    # suite, the function broken, how, a tolerance at or above the old failure reading
+    @pytest.mark.parametrize("suite,module,name,wrap,tol", [
+        ("sphere", spectral, "sphere_eta", lambda f: scaled(f, 1.001), "1.0"),
+        ("quadrature", transform, "cos_transform_sphere", lambda f: lambda *a: f(*a) + 1e-3, "1.0"),
+        ("geometry", geometry, "torus_point", lambda f: lambda sig, t: f(sig, t + 1e-6), "1.0"),
+        ("sin", spectral, "eta", lambda f: scaled(f, 1.001), "1e10"),
+    ])
+    def test_failed_side_gate_fails_under_any_tolerance(self, capsys, monkeypatch,
+                                                        suite, module, name, wrap, tol):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+        self.failing_report(capsys, suite, "--samples", "2000", "--tolerance", f"{suite}={tol}")
+
+    def test_failed_stderr_gate_fails_the_mc_row(self):
+        row = verify.run_mc(0, samples=2000, max_rel_stderr=1e-9, tol=1e10)
+        assert row["passed"] is False and row["measured"] == sys.float_info.max
+
+    @pytest.mark.parametrize("suite,module,oracle", [
+        ("selberg", transform, "selberg_oracle"),
+        ("sphere", transform, "funk_hecke_1d"),
+        ("geometry", geometry, "cos_angle"),
+    ])
+    def test_nan_error_gives_a_failing_report(self, capsys, monkeypatch, suite, module, oracle):
+        monkeypatch.setattr(module, oracle, lambda *args, **kwargs: float("nan"))
+        self.failing_report(capsys, suite)
+
+    def test_tolerance_at_the_failure_reading_rejected(self, capsys):
+        status, out, err = run_cli(capsys, "verify", "--suite", "sphere",
+                                   "--tolerance", f"sphere={sys.float_info.max!r}")
+        assert status == 1 and out == ""
+        one_error_object(err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(errors=st.lists(st.floats(min_value=0.0)),
+           gates=st.lists(st.tuples(st.lists(st.floats(min_value=0.0)),
+                                    st.floats(min_value=0.0, allow_infinity=False)), max_size=3),
+           tol=st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True,
+                         exclude_max=True))
+    def test_row_passes_exactly_below_its_tolerance(self, errors, gates, tol):
+        row = verify._row("suite", tol, errors, "detail", gates)
+        json.dumps(row, allow_nan=False)
+        assert row["passed"] == (row["measured"] <= row["tolerance"])
+        gates_pass = all(e < gate for errs, gate in gates for e in errs)
+        assert row["passed"] == (all(e <= tol for e in errors) and gates_pass)
+
+
+class TestSuiteNames:
+    def test_unknown_tolerance_name_exits_one(self, capsys):
+        status, out, err = run_cli(capsys, "verify", "--suite", "normalization",
+                                   "--tolerance", "normalizaton=5")
+        assert status == 1 and out == ""
+        assert "normalizaton" in one_error_object(err)["error"]["message"]
+
+    @pytest.mark.parametrize("names,tolerances", [(["mc", "nope"], None),
+                                                  (["mc"], {"nope": 1.0})])
+    def test_names_checked_before_any_suite_runs(self, monkeypatch, names, tolerances):
+        def ran(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(transform, "mc_c_p", ran)
+        with pytest.raises(ValueError, match="unknown suite.*'nope'"):
+            verify.run_suites(names, 0, tolerances=tolerances)
 
 
 class TestErrors:
