@@ -24,7 +24,6 @@ Everything is a pure function of immutable values; thread-safe throughout.
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -300,10 +299,20 @@ class SpectralArray:
             return NotImplemented
         return (self.order == other.order) & (self.log == other.log)
 
-    def prod(self):
-        """Product of every cell, multiplied in C order (1 when empty)."""
-        cells = list(map(SpectralValue, self.order.ravel().tolist(), self.log.ravel().tolist()))
-        return functools.reduce(operator.mul, cells) if cells else SpectralValue.one()
+    def __mul__(self, other):
+        if not isinstance(other, SpectralArray):
+            return NotImplemented
+        return _spectral(self.order + other.order, self.log + other.log)
+
+    def __truediv__(self, other):
+        if not isinstance(other, SpectralArray):
+            return NotImplemented
+        return _spectral(self.order - other.order, self.log - other.log)
+
+    def prod(self, axis=None):
+        """Product of the cells along axis, or of every cell (1 over an
+        empty axis): the two columns summed by numpy."""
+        return _spectral(self.order.sum(axis), self.log.sum(axis))
 
 
 def _spectral(order, log):
@@ -311,6 +320,28 @@ def _spectral(order, log):
     if np.ndim(order) == 0:
         return SpectralValue(int(order), complex(log))
     return SpectralArray(order, log)
+
+
+def _gamma(z, slope=1.0, power=1):
+    """Gamma(z)^power per element; z, slope and power broadcast together.
+
+    slope is dz/dlambda for z a function of lambda: where z sits on a pole
+    of Gamma the cell is a pole marker whose coefficient is the residue over
+    slope, so the leading Laurent coefficient in lambda stays exact and
+    removable singularities of a product cancel correctly.
+    """
+    pole, lg = log_gamma(z, log_slope=np.log(np.asarray(slope, dtype=complex)))
+    power = np.asarray(power)
+    return _spectral(power * pole, power * lg)
+
+
+def _linear(value, slope):
+    """A linear factor ell(lambda) per element, from its value and its slope
+    d ell/d lambda; an exact zero becomes a zero marker whose coefficient is
+    the slope."""
+    value = np.asarray(value, dtype=complex)
+    zero = value == 0
+    return _spectral(np.negative(zero, dtype=int), np.log(np.where(zero, slope, value)))
 
 
 class GammaProduct:
@@ -377,8 +408,7 @@ def gindikin_gamma(p, d, v):
     v = tuple(v)
     if len(v) != p:
         raise ValueError(f"argument tuple has length {len(v)}, expected {p}")
-    z = np.asarray(v, dtype=complex) - 0.5 * d * np.arange(p)
-    return GammaProduct().mul_gamma(z).value()
+    return _gamma(np.asarray(v, dtype=complex) - 0.5 * d * np.arange(p)).prod()
 
 
 def enumerate_ktypes(sig, max_degree):

@@ -75,7 +75,7 @@ from scipy.special import roots_jacobi
 # haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
 from .geometry import frame_batch, haar_batch  # noqa: F401
 from .scalar import gauss_legendre, gegenbauer
-from .spectral import GammaProduct, ktype
+from .spectral import _gamma, ktype
 
 __all__ = [
     "ConvergenceError",
@@ -545,7 +545,7 @@ def selberg_closed(p, alpha, g1, g2):
     j = np.arange(1, p + 1)
     z = np.stack([alpha * j + 1.0, alpha * (j - 1) + g1, alpha * (j - 1) + g2,
                   np.full(p, alpha + 1.0), alpha * (p + j - 2) + g1 + g2], axis=1)
-    return GammaProduct().mul_gamma(z, power=[1, 1, 1, -1, -1]).value()
+    return _gamma(z, power=[1, 1, 1, -1, -1]).prod()
 
 
 def _jacobi_01(order, exp0, exp1):

@@ -290,6 +290,39 @@ class TestSpectralArray:
         cells = [c_p(s, lam) for lam in lams.ravel()]
         assert values.prod() == cells[0] * cells[1] * cells[2] * cells[3]
 
+    def test_mul_div_and_prod_over_an_axis(self):
+        s = sig(5, 2, H)
+        lams = np.array([[1.25 + 0.5j, -2.0, 0.5], [3.5, 0.75 - 1.0j, s.rho]])
+        a, b = c_p(s, lams), eta(s, (2, 0), lams)
+        for got, expected in ((a * b, lambda x, y: x * y), (a / b, lambda x, y: x / y)):
+            assert got.shape == lams.shape
+            assert all(got[i] == expected(a[i], b[i]) for i in np.ndindex(lams.shape))
+        rows = a.prod(axis=1)
+        assert rows.shape == (2,) and list(rows) == [a[0].prod(), a[1].prod()]
+        assert a.prod(axis=0).shape == (3,) and (a.prod(axis=-1) == rows).all()
+        one = spectral.SpectralValue.one()
+        assert list(eta(s, [], [1.0, 2.0]).prod(axis=0)) == [one, one]
+
+    def test_orders_cancel_in_a_quotient(self):
+        # Gamma(0)/Gamma(-1) = -1: both cells are simple poles
+        g = spectral._gamma([0.0, -1.0])
+        assert g[0].is_pole and g[1].is_pole
+        ratio = (g[:1] / g[1:]).prod()
+        assert ratio.is_finite and abs(ratio.value + 1.0) < 1e-15
+        zero = spectral._linear([0.0, 2.0], 0.5)
+        assert zero[0] == spectral.SpectralValue.zero(1, np.log(0.5))
+        assert zero[1] == spectral.SpectralValue.finite(2.0)
+
+    def test_mixed_operands_are_not_implemented(self):
+        values = c_p(sig(4, 2, C), [1.5, 2.5])
+        for other in (2.0, spectral.SpectralValue.one(), np.ones(2)):
+            assert values.__mul__(other) is NotImplemented
+            assert values.__truediv__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            values * 2.0
+        with pytest.raises(TypeError):
+            values / spectral.SpectralValue.one()
+
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_block_split_equals_whole(self, monkeypatch, block):
         s = sig(7, 3, H)
