@@ -4,10 +4,10 @@ The transform acts as a scalar eta_mu(lambda) on each irreducible piece of
 L^2 of the Grassmannian (the K-types, indexed by p-tuples of even integers).
 This module implements:
 
-* the Gindikin Gamma gindikin_gamma on its own (the closed forms do not call it),
 * the closed forms c_p, eta, nu (one vectorized Gindikin-Gamma ratio over
   arrays of lambda and K-types, whose factors _plan lays out and
-  _gindikin_block evaluates) and the sphere specialization sphere_eta,
+  _gindikin_block evaluates), the Gindikin Gamma gindikin_gamma and the
+  sphere specialization sphere_eta,
 * the adjacent-type step ratio and the spectrum-generating recursion that
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, adjacency, Casimir eigenvalue).
@@ -16,14 +16,15 @@ A spectral quantity at one point is a SpectralValue, which keeps explicit
 pole/zero markers with orders so that ratios of Gamma factors at coinciding
 singularities come out right instead of degenerating to inf/nan.  Over
 arrays of lambda or K-types it is a SpectralArray: the Laurent orders and
-log coefficients as two numpy arrays, whose cells are SpectralValues.
+log coefficients as two numpy arrays, whose cells are SpectralValues.  Every
+Gamma or linear factor is such a cell (_gamma, _linear), and every product
+is a sum of the columns (SpectralArray *, / and prod).
 
 Everything is a pure function of immutable values; thread-safe throughout.
 """
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -271,8 +272,8 @@ class SpectralArray:
     orders (int) and the logs of the leading coefficients (complex).
 
     Indexing gives a SpectralValue for one cell and a SpectralArray
-    otherwise; iteration runs over the first axis.  `==` compares cell by
-    cell and gives a bool array.
+    otherwise; iteration runs over the first axis.  `==`, `*` and `/` go
+    cell by cell between SpectralArrays (`==` gives a bool array).
     """
 
     order: np.ndarray
@@ -342,54 +343,6 @@ def _linear(value, slope):
     value = np.asarray(value, dtype=complex)
     zero = value == 0
     return _spectral(np.negative(zero, dtype=int), np.log(np.where(zero, slope, value)))
-
-
-class GammaProduct:
-    """Accumulator for products of Gamma factors of a single variable lambda.
-
-    Each factor Gamma(a(lambda))^power is recorded together with the slope
-    a'(lambda); when a sits on a pole of Gamma the factor contributes
-    residue/(slope (lambda-lambda_0)), so the leading Laurent coefficient in
-    lambda stays exact and removable singularities cancel correctly.
-    Starts from `start` (a SpectralValue, or a SpectralArray for a product
-    over an array of lambdas) if given, else from 1.
-    """
-
-    def __init__(self, start=None):
-        if start is None:
-            self._order, self._log = 0, 0.0 + 0.0j
-        elif isinstance(start, SpectralArray):
-            self._order, self._log = start.order, start.log
-        else:
-            self._order, self._log = start.laurent_order, start.log_coeff
-
-    def mul_gamma(self, z, slope=1.0, power=1):
-        """Multiply by Gamma(z)^power; z, slope and power broadcast together."""
-        power = np.asarray(power)
-        pole, lg = log_gamma(z, log_slope=np.log(np.asarray(slope, dtype=complex)))
-        self._order += int((power * pole).sum())
-        self._log += complex((power * lg).sum())
-        return self
-
-    def mul_linear(self, value, slope, power=1):
-        # Multiply by ell(lambda)^power where ell has the given value (one per
-        # lambda of the product) and d ell/d lambda at the evaluation point.
-        # An exact zero of ell turns into an order marker with the slope as
-        # leading coefficient.  Each log is cmath's, as for a scalar.
-        value = np.asarray(value, dtype=complex)
-        zero = value == 0
-        logs = [cmath.log(v) for v in np.where(zero, slope, value).ravel().tolist()]
-        self._order = self._order - power * zero
-        self._log = self._log + power * np.reshape(logs, value.shape)
-        return self
-
-    def mul_sign(self, k):
-        """Multiply by (-1)^k."""
-        self._log += 1j * math.pi * k
-        return self
-
-    def value(self):
-        return _spectral(self._order, self._log)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +547,7 @@ def eta(sig, mu, lam):
 
 
 def eta_step_ratio(sig, mu, j, lam):
-    """Ratio eta_{mu + 2 e_j} / eta_mu:
+    """Ratio eta_{mu + 2 e_j} / eta_mu, for 0 <= j < p:
 
     (lambda - m_j - rho + d(j-1)) / (lambda + m_j + rho - d(j-1)).
 
@@ -602,30 +555,23 @@ def eta_step_ratio(sig, mu, j, lam):
     vanishes, pole marker when the denominator does.
     """
     mu = ktype(sig, mu)
-    up = list(mu.m)
-    up[j] += 2
-    if not _is_dominant(sig, tuple(up)):
+    if not 0 <= j < sig.p:
+        raise ValueError(f"need 0 <= j < p = {sig.p}, got j = {j}")
+    if not _is_dominant(sig, mu.m[:j] + (mu.m[j] + 2,) + mu.m[j + 1:]):
         raise ValueError(f"mu + 2e_{j + 1} leaves the lattice for mu = {mu}")
     lam = complex(lam)
     shift = mu.m[j] + sig.rho - sig.d * j
-    gp = GammaProduct()
-    gp.mul_linear(lam - shift, 1.0, +1)
-    gp.mul_linear(lam + shift, 1.0, -1)
-    return gp.value()
+    return _linear(lam - shift, 1.0) / _linear(lam + shift, 1.0)
 
 
 def _monotone_path(mu):
     """Lattice path 0 -> mu filling coordinates left to right in +/-2 steps."""
-    cur = [0] * len(mu.m)
-    steps = []
+    ends = [(0,) * len(mu.m)]
     for j, mj in enumerate(mu.m):
-        inc = 2 if mj >= 0 else -2
         for _ in range(abs(mj) // 2):
-            nxt = list(cur)
-            nxt[j] = cur[j] + inc
-            steps.append((tuple(cur), tuple(nxt)))
-            cur = nxt
-    return steps
+            cur = ends[-1]
+            ends.append(cur[:j] + (cur[j] + (2 if mj > 0 else -2),) + cur[j + 1:])
+    return list(zip(ends, ends[1:]))
 
 
 def eta_by_recursion(sig, mu, lam, path=None):
@@ -637,22 +583,26 @@ def eta_by_recursion(sig, mu, lam, path=None):
         (2r - omega(sigma) + omega(mu')) / (2r + omega(sigma) - omega(mu'))
 
     with r = lambda * pq/(n+1).  By default the steps follow the monotone
-    path filling m_1 first, then m_2, etc.; any admissible path gives the
-    same value.  lam may be an array: the result is then a SpectralArray of
-    its shape, each cell equal to its scalar call.
+    path filling m_1 first, then m_2, etc.; any path of (mu', sigma) pairs
+    from 0 to mu through valid K-types gives the same value, and any other
+    path raises ValueError.  lam may be an array: the result is then a
+    SpectralArray of its shape, each cell equal to its scalar call.
     """
     mu = ktype(sig, mu)
     lam = np.asarray(lam, dtype=complex)
     if path is None:
         path = _monotone_path(mu)
-    dws = omega(sig, [nxt for _, nxt in path]) - omega(sig, [cur for cur, _ in path])
+    path = [tuple(ktype(sig, t).m for t in step) for step in path]
+    ends = [(0,) * sig.p] + [nxt for _, nxt in path]
+    if ([cur for cur, _ in path] != ends[:-1] or ends[-1] != mu.m
+            or any(sum(abs(a - b) for a, b in zip(*step)) != 2 for step in path)):
+        raise ValueError(f"path must run from 0 to {mu} in steps of +/-2 e_j")
+    dws = np.diff(omega(sig, ends))
     scale = sig.p * sig.q / (sig.n + 1.0)
-    r2 = 2.0 * lam * scale  # 2r
-    gp = GammaProduct(c_p(sig, lam))
-    for dw in dws:
-        gp.mul_linear(r2 - dw, 2.0 * scale, +1)
-        gp.mul_linear(r2 + dw, 2.0 * scale, -1)
-    return gp.value()
+    # 2r; the steps go on the last axis, which every cell sums as a scalar call does
+    r2 = 2.0 * lam[..., None] * scale
+    steps = _linear(r2 - dws, 2.0 * scale) / _linear(r2 + dws, 2.0 * scale)
+    return c_p(sig, lam) * steps.prod(axis=-1)
 
 
 def nu(sig, mu, lam):
@@ -675,22 +625,21 @@ def sphere_eta(n, m, lam):
 
     With rho = (n+1)/2:
 
-        (-1)^(m/2) Gamma(rho)/Gamma(1/2)
+        Gamma(rho)/Gamma(1/2)
         * Gamma((lambda-rho+1)/2) / Gamma((lambda+rho+m)/2)
-        * prod_{k=0}^{m/2-1} (-lambda + rho + 2k)/2
+        * prod_{k=0}^{m/2-1} (lambda - rho - 2k)/2
 
     The product is the polynomial form of
-    Gamma((-lambda+rho+m)/2)/Gamma((-lambda+rho)/2); evaluating it directly
-    keeps the would-be 0/0 points clean.
+    (-1)^(m/2) Gamma((-lambda+rho+m)/2)/Gamma((-lambda+rho)/2); evaluating it
+    directly keeps the would-be 0/0 points clean.  lam may be an array: the
+    result is then a SpectralArray of its shape, each cell equal to its
+    scalar call.
     """
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be a nonnegative even integer")
-    lam = complex(lam)
+    lam = np.asarray(lam, dtype=complex)[..., None]
     rho = (n + 1) / 2.0
-    gp = GammaProduct()
-    gp.mul_sign(m // 2)
-    gp.mul_gamma([rho, 0.5, 0.5 * (lam - rho + 1.0), 0.5 * (lam + rho + m)],
-                 slope=[1.0, 1.0, 0.5, 0.5], power=[1, -1, 1, -1])
-    for k in range(m // 2):
-        gp.mul_linear(0.5 * (-lam + rho + 2.0 * k), -0.5)
-    return gp.value()
+    z = np.broadcast_arrays(rho, 0.5, 0.5 * (lam - rho + 1.0), 0.5 * (lam + rho + m))
+    gammas = _gamma(np.concatenate(z, axis=-1), slope=[1.0, 1.0, 0.5, 0.5], power=[1, -1, 1, -1])
+    poly = _linear(0.5 * (lam - rho - 2.0 * np.arange(m // 2)), 0.5)
+    return gammas.prod(axis=-1) * poly.prod(axis=-1)

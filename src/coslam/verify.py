@@ -109,14 +109,12 @@ def run_sphere(seed, samples=None, workers=1, grid_order=None, tol=1e-7, *, lamb
         sig = GrassmannSignature(n, 1, FieldTag.REAL)
         rho = sig.rho
         for m in (0, 2, 4, 6):
-            for lam in generic_lambdas(rng, lambdas):
-                a = spectral.sphere_eta(n, m, lam).value
-                b = spectral.eta(sig, (m,), lam).value
-                exact.append(abs(a - b) / abs(b))
-            for off in (0.5, 1.0, 2.5):
-                lam = rho + off
-                se = spectral.sphere_eta(n, m, lam).value
-                fh.append(abs(transform.funk_hecke_1d(n, m, lam) - se) / abs(se))
+            lams = generic_lambdas(rng, lambdas)
+            for a, b in zip(spectral.sphere_eta(n, m, lams), spectral.eta(sig, (m,), lams)):
+                exact.append(abs(a.value - b.value) / abs(b.value))
+            lams = [rho + off for off in (0.5, 1.0, 2.5)]
+            for lam, se in zip(lams, spectral.sphere_eta(n, m, lams)):
+                fh.append(abs(transform.funk_hecke_1d(n, m, lam) - se.value) / abs(se.value))
     return _row("sphere", tol, fh, f"closed-form identity {_worst(exact):.2e} (gate 1e-12), "
                 f"quadrature {_worst(fh):.2e}", [(exact, 1e-12)])
 

@@ -253,8 +253,9 @@ class TestAccuracyContract:
 
 
 class TestSpectralArray:
-    """The array result of c_p/eta/nu/eta_by_recursion: its edge shapes,
-    its cells and its blocked evaluation."""
+    """The array result of c_p/eta/nu/eta_by_recursion/sphere_eta and its
+    algebra: its edge shapes, its cells, its products and its blocked
+    evaluation."""
 
     def test_empty_lambda_axis(self):
         values = eta(sig(4, 2, C), (2, 0), [])
@@ -342,6 +343,16 @@ class TestSpectralArray:
             values = spectral.eta_by_recursion(s, mu, lams)
             assert values.shape == lams.shape
             assert list(values) == [spectral.eta_by_recursion(s, mu, lam) for lam in lams]
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_sphere_eta_over_lambda_array(self, n):
+        rho = (n + 1) / 2.0
+        lams = np.concatenate([REAL_GRID[::4], [rho, rho + 2.0, 1.5 - 2.0j]])
+        for m in (0, 2, 4, 6):
+            values = spectral.sphere_eta(n, m, lams)
+            assert values.shape == lams.shape
+            assert list(values) == [spectral.sphere_eta(n, m, lam) for lam in lams]
+            assert spectral.sphere_eta(n, m, lams.reshape(2, -1)).shape == (2, len(lams) // 2)
 
     def test_omega_over_ktypes(self):
         # the loop form of the Casimir sum, summed left to right in j

@@ -308,6 +308,12 @@ class TestStepRatio:
         with pytest.raises(ValueError):
             eta_step_ratio(sig(4, 2, C), (2, 2), 1, 1.0 + 1.0j)  # (2,4) not dominant
 
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_index_out_of_range_rejected(self, j):
+        # j = -1 would index the last coordinate but shift by d*j with j = -1
+        with pytest.raises(ValueError):
+            eta_step_ratio(sig(4, 2, C), (2, 0), j, 3.3 + 0.7j)
+
     def test_product_consistency_sweep(self, rng):
         # eta_step_ratio * eta(mu) == eta(mu + 2 e_j) on 50 random cases
         sigs = all_signatures(5)
@@ -395,6 +401,11 @@ class TestRecursion:
         s = sig(4, 2, C)
         with pytest.raises(ValueError):
             eta_by_recursion(s, (2, 2), 1.0 + 1.0j, path=[((0, 0), (0, 2)), ((0, 2), (2, 2))])
+        # on Gr_1(R^4): a path that stops short, one that jumps, no path, and
+        # steps that do not chain
+        for path in ([((0,), (2,))], [((0,), (4,))], [], [((0,), (2,)), ((0,), (2,))]):
+            with pytest.raises(ValueError):
+                eta_by_recursion(sig(3, 1, R), (4,), 1.0 + 1.0j, path=path)
 
 
 class TestNu:
