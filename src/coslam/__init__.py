@@ -4,98 +4,17 @@ Grassmannians over R, C and H, with independent numerical verification.
 The closed-form spectrum lives in `coslam.spectral`, matrix geometry and
 Haar sampling in `coslam.geometry`, quadrature/Monte Carlo realizations of
 the transforms in `coslam.transform`, and the command-line front end in
-`coslam.cli`.
+`coslam.cli`.  The package exports the public names (`__all__`) of
+`scalar`, `spectral`, `geometry` and `transform`.
 """
 
-from .scalar import GammaPole, QuadratureRule1D, gauss_legendre, gegenbauer, log_gamma
-from .spectral import (
-    FieldTag,
-    GrassmannSignature,
-    KType,
-    SpectralValue,
-    c_p,
-    enumerate_ktypes,
-    eta,
-    eta_by_recursion,
-    eta_step_ratio,
-    ktype,
-    nu,
-    omega,
-    sphere_eta,
-)
-from .geometry import (
-    FramePoint,
-    GroupElement,
-    act,
-    alpha_p,
-    base_point,
-    cos_angle,
-    group_compose,
-    group_inverse,
-    haar_batch,
-    haar_sample,
-    perp,
-    torus_point,
-)
-from .transform import (
-    ConvergenceError,
-    McEstimate,
-    SphereGrid,
-    cos_transform_sphere,
-    funk_hecke_1d,
-    mc_c_p,
-    mc_transform_ktype,
-    selberg_closed,
-    selberg_oracle,
-    sin_transform_numeric,
-    sphere_grid,
-    zonal_values,
-)
+from . import geometry, scalar, spectral, transform
+from .scalar import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .transform import *  # noqa: F401,F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GammaPole",
-    "QuadratureRule1D",
-    "gauss_legendre",
-    "gegenbauer",
-    "log_gamma",
-    "FieldTag",
-    "GrassmannSignature",
-    "KType",
-    "SpectralValue",
-    "ktype",
-    "c_p",
-    "enumerate_ktypes",
-    "eta",
-    "eta_by_recursion",
-    "eta_step_ratio",
-    "nu",
-    "omega",
-    "sphere_eta",
-    "FramePoint",
-    "GroupElement",
-    "act",
-    "alpha_p",
-    "base_point",
-    "cos_angle",
-    "group_compose",
-    "group_inverse",
-    "haar_batch",
-    "haar_sample",
-    "perp",
-    "torus_point",
-    "ConvergenceError",
-    "McEstimate",
-    "SphereGrid",
-    "cos_transform_sphere",
-    "funk_hecke_1d",
-    "mc_c_p",
-    "mc_transform_ktype",
-    "selberg_closed",
-    "selberg_oracle",
-    "sin_transform_numeric",
-    "sphere_grid",
-    "zonal_values",
-    "__version__",
-]
+__all__ = [*scalar.__all__, *spectral.__all__, *geometry.__all__, *transform.__all__,
+           "__version__"]

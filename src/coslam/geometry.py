@@ -88,12 +88,6 @@ def _abs_det_field(field, block):
     return dets
 
 
-def _abs_det_real(field, mat):
-    """|det_R| of a square field matrix given by its realization."""
-    d = np.abs(np.linalg.det(mat))
-    return d if field is FieldTag.REAL else d * d
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """An isometry of K^(n+1), stored as the realization of its matrix."""
@@ -110,7 +104,7 @@ class GroupElement:
             raise ValueError(f"expected a {size}x{size} realization, got {mat.shape}")
         if self.sig.field is FieldTag.QUATERNION and quat_structure_error(mat) > 1e-12:
             raise ValueError("matrix does not have the quaternionic block structure")
-        if abs(_abs_det_real(self.sig.field, mat) - 1.0) > 1e-10:
+        if abs(_abs_det_field(self.sig.field, mat) ** self.sig.d - 1.0) > 1e-10:
             raise ValueError("matrix is not special: |det_R| != 1")
 
 
@@ -243,11 +237,9 @@ def torus_point(sig, t):
         mat[a, bcol] = -sj
         mat[bcol, a] = sj
         mat[bcol, bcol] = cj
-    if sig.field is FieldTag.REAL:
-        return GroupElement(sig, mat)
-    if sig.field is FieldTag.COMPLEX:
-        return GroupElement(sig, mat.astype(np.complex128))
-    return GroupElement(sig, quat_embed(mat.astype(np.complex128), np.zeros_like(mat, dtype=np.complex128)))
+    if sig.field is FieldTag.QUATERNION:
+        mat = quat_embed(mat, np.zeros_like(mat))
+    return GroupElement(sig, mat)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,15 @@ singularities come out right instead of degenerating to inf/nan.  Over
 arrays of lambda or K-types it is a SpectralArray: the Laurent orders and
 log coefficients as two numpy arrays, whose cells are SpectralValues.  Every
 Gamma or linear factor is such a cell (_gamma, _linear), and every product
-is a sum of the columns (SpectralArray *, / and prod).
+is a sum of the columns (SpectralArray.prod, and `*` and `/` of the one
+algebra _Laurent that both types share, so a value and an array combine).
 
 Everything is a pure function of immutable values; thread-safe throughout.
 """
 
 import cmath
 import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +40,7 @@ __all__ = [
     "KType",
     "SpectralValue",
     "SpectralArray",
+    "ktype",
     "enumerate_ktypes",
     "omega",
     "c_p",
@@ -132,7 +135,10 @@ class KType:
     m: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        m = tuple(self.m)
+        if not all(float(x).is_integer() for x in m):
+            raise ValueError(f"K-type entries must be integers, got {m}")
+        object.__setattr__(self, "m", tuple(int(x) for x in m))
 
     @property
     def degree(self):
@@ -149,10 +155,10 @@ class KType:
 
 def ktype(sig, m):
     """Validate the tuple m against sig's lattice and wrap it as a KType."""
-    mu = m.m if isinstance(m, KType) else tuple(int(x) for x in m)
-    if not _is_dominant(sig, mu):
-        raise ValueError(f"{mu} is not a valid K-type for {sig.label()}")
-    return m if isinstance(m, KType) else KType(mu)
+    mu = m if isinstance(m, KType) else KType(m)
+    if not _is_dominant(sig, mu.m):
+        raise ValueError(f"{mu.m} is not a valid K-type for {sig.label()}")
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +166,29 @@ def ktype(sig, m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralValue:
+class _Laurent:
+    """The algebra of SpectralValue and SpectralArray over their _columns,
+    the Laurent orders and the logs of the leading coefficients: `*` and
+    `/` add and subtract the columns and `==` compares them, with numpy
+    broadcasting, so a value combines with every cell of an array."""
+
+    def _apply(self, other, op, join):
+        if not isinstance(other, _Laurent):
+            return NotImplemented
+        return join(*map(op, self._columns, other._columns))
+
+    def __eq__(self, other):
+        return self._apply(other, operator.eq, operator.and_)
+
+    def __mul__(self, other):
+        return self._apply(other, operator.add, _spectral)
+
+    def __truediv__(self, other):
+        return self._apply(other, operator.sub, _spectral)
+
+
+@dataclass(frozen=True, eq=False, unsafe_hash=True)  # hashed by its two fields
+class SpectralValue(_Laurent):
     """A meromorphic-function value: finite, or a pole/zero with an order.
 
     Internally the leading Laurent coefficient is kept (as a log, so huge
@@ -236,19 +263,9 @@ class SpectralValue:
             raise OverflowError(f"|value| = exp({self.log_coeff.real:.6g}) "
                                 "exceeds the double-precision range") from None
 
-    def __mul__(self, other):
-        if isinstance(other, SpectralValue):
-            return SpectralValue(self.laurent_order + other.laurent_order,
-                                 self.log_coeff + other.log_coeff)
-        return self * SpectralValue.finite(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SpectralValue):
-            return SpectralValue(self.laurent_order - other.laurent_order,
-                                 self.log_coeff - other.log_coeff)
-        return self / SpectralValue.finite(other)
+    @property
+    def _columns(self):
+        return self.laurent_order, self.log_coeff
 
     def to_json(self):
         if self.is_pole:
@@ -267,13 +284,14 @@ class SpectralValue:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralArray:
+class SpectralArray(_Laurent):
     """An array of SpectralValues held as two read-only columns: the Laurent
     orders (int) and the logs of the leading coefficients (complex).
 
     Indexing gives a SpectralValue for one cell and a SpectralArray
     otherwise; iteration runs over the first axis.  `==`, `*` and `/` go
-    cell by cell between SpectralArrays (`==` gives a bool array).
+    cell by cell against a SpectralArray or a SpectralValue (`==` gives a
+    bool array).
     """
 
     order: np.ndarray
@@ -292,23 +310,12 @@ class SpectralArray:
     def __len__(self):
         return len(self.order)
 
+    @property
+    def _columns(self):
+        return self.order, self.log
+
     def __getitem__(self, index):
         return _spectral(self.order[index], self.log[index])
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectralArray):
-            return NotImplemented
-        return (self.order == other.order) & (self.log == other.log)
-
-    def __mul__(self, other):
-        if not isinstance(other, SpectralArray):
-            return NotImplemented
-        return _spectral(self.order + other.order, self.log + other.log)
-
-    def __truediv__(self, other):
-        if not isinstance(other, SpectralArray):
-            return NotImplemented
-        return _spectral(self.order - other.order, self.log - other.log)
 
     def prod(self, axis=None):
         """Product of the cells along axis, or of every cell (1 over an
@@ -318,7 +325,7 @@ class SpectralArray:
 
 def _spectral(order, log):
     """A SpectralValue for 0-d columns, else a SpectralArray."""
-    if np.ndim(order) == 0:
+    if getattr(order, "ndim", 0) == 0:  # an int has none; np.ndim(int) is slow
         return SpectralValue(int(order), complex(log))
     return SpectralArray(order, log)
 
@@ -635,6 +642,8 @@ def sphere_eta(n, m, lam):
     result is then a SpectralArray of its shape, each cell equal to its
     scalar call.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be a nonnegative even integer")
     lam = np.asarray(lam, dtype=complex)[..., None]

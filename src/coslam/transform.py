@@ -13,7 +13,8 @@ That makes them usable as oracles:
   closed-form c-function, against `selberg_closed`.
 
 Convergence gate: the defining integrals converge for Re(lambda) >= rho (the
-kernel is then bounded by 1); everything here enforces that.
+kernel is then bounded by 1); everything here enforces that, for finite
+lambda only.
 
 Ring-symmetric sphere quadrature: a SphereGrid holds its nodes ring-major,
 `azimuths` per ring, node k of a ring being node 0 of that ring rotated by
@@ -62,6 +63,7 @@ array per batch and passes it to the estimator in views of at most 1 MiB
 flight take about the memory one batch took when the streams ran in turn.
 """
 
+import cmath
 import functools
 import math
 import os
@@ -99,6 +101,8 @@ class ConvergenceError(RuntimeError):
 
 
 def _require_convergent(lam, rho):
+    if not cmath.isfinite(lam):
+        raise ValueError("lambda must be finite")
     if complex(lam).real < rho:
         raise ValueError(
             f"transform integral diverges: need Re(lambda) >= rho = {rho}, got {lam}"
@@ -191,10 +195,8 @@ def zonal_values(n, m, t):
 
 def _kernel_pow(base, expo):
     # base**expo for base >= 0, with 0**expo := 0 for Re expo > 0 and
-    # base**0 := 1 exactly.
+    # base**0 = 1 exactly, at base 0 too (IEEE pow).
     expo = complex(expo)
-    if expo == 0:
-        return np.ones_like(base)
     if expo.imag == 0.0:
         return base ** expo.real
     pos = base > 0.0
@@ -291,6 +293,8 @@ def funk_hecke_1d(n, m, lam):
     with rho = (n+1)/2 and c_n normalizing m = 0, lambda = rho to 1.  This is
     the independent 1-D oracle for the sphere eigenvalues.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be a nonnegative even integer")
     rho = (n + 1) / 2.0
@@ -299,15 +303,13 @@ def funk_hecke_1d(n, m, lam):
     s = (n - 2) / 2.0
 
     def weight(t):
-        return (1.0 - t * t) ** s if s != 0.0 else np.ones_like(t)
+        return (1.0 - t * t) ** s  # exactly 1 for s = 0
 
     def numerator(t):
         return np.exp(expo * np.log(t)) * zonal_values(n, m, t) * weight(t)
 
-    num = _integrate_01(numerator)  # even profile: fold onto [0, 1]
-    den = _integrate_01(weight)
-    val = num / den
-    return complex(val)
+    # even profile: fold onto [0, 1]
+    return _integrate_01(numerator) / _integrate_01(weight)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +557,7 @@ def _jacobi_01(order, exp0, exp1):
 
 
 def selberg_oracle(p, alpha, g1, g2, order=48, max_order=3072, tol=1e-7):
-    """Brute-force Selberg integral for p in {1, 2} and positive parameters.
+    """Brute-force Selberg integral for p in {1, 2} and finite positive parameters.
 
     Tensor-product Gauss-Jacobi quadrature; the p = 2 case is folded onto
     the triangle t1 < t2 and rescaled (t1 = x y, t2 = x) so that every
@@ -565,8 +567,8 @@ def selberg_oracle(p, alpha, g1, g2, order=48, max_order=3072, tol=1e-7):
     """
     if p not in (1, 2):
         raise ValueError("the oracle covers p = 1 and p = 2 only")
-    if min(alpha, g1, g2) <= 0.0:
-        raise ValueError("oracle parameters must be positive reals")
+    if not all(0.0 < x < math.inf for x in (alpha, g1, g2)):  # NaN fails too
+        raise ValueError("oracle parameters must be finite positive reals")
 
     def evaluate(n):
         if p == 1:

@@ -314,15 +314,31 @@ class TestSpectralArray:
         assert zero[0] == spectral.SpectralValue.zero(1, np.log(0.5))
         assert zero[1] == spectral.SpectralValue.finite(2.0)
 
+    def test_value_and_array_combine_cell_by_cell(self):
+        s = sig(5, 2, H)
+        lams = np.array([[1.25 + 0.5j, -2.0, 0.5], [3.5, 0.75 - 1.0j, s.rho]])
+        values = eta(s, (2, 0), lams)
+        scalars = (c_p(s, 2.0 + 0.5j), spectral.SpectralValue.pole(2, np.log(3.0)),
+                   spectral.SpectralValue.zero(1, -1.0j))
+        for v in scalars:
+            for got, cell in ((v * values, lambda x: v * x), (values * v, lambda x: x * v),
+                              (v / values, lambda x: v / x), (values / v, lambda x: x / v)):
+                assert isinstance(got, spectral.SpectralArray) and got.shape == lams.shape
+                assert all(got[i] == cell(values[i]) for i in np.ndindex(lams.shape))
+        same = values == values[0, 1]
+        assert same.shape == lams.shape and same[0, 1] and not same[0, 0]
+        grid = c_p(s, [1.0, 2.0])
+        assert list(c_p(s, 2.0) * grid) == [c_p(s, 2.0) * g for g in grid]
+
     def test_mixed_operands_are_not_implemented(self):
         values = c_p(sig(4, 2, C), [1.5, 2.5])
-        for other in (2.0, spectral.SpectralValue.one(), np.ones(2)):
+        for other in (2.0, np.ones(2)):
             assert values.__mul__(other) is NotImplemented
             assert values.__truediv__(other) is NotImplemented
         with pytest.raises(TypeError):
             values * 2.0
         with pytest.raises(TypeError):
-            values / spectral.SpectralValue.one()
+            values / 2.0
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_block_split_equals_whole(self, monkeypatch, block):

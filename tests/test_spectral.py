@@ -65,6 +65,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             ktype(sig(4, 2, R), (2, -2))  # p != q
 
+    def test_ktype_entries_must_be_integral(self):
+        s = sig(4, 2, C)
+        assert KType((np.int64(2), 0.0)).m == (2, 0)
+        assert ktype(s, np.array([2.0, 0.0])).m == (2, 0)
+        assert eta(s, np.array([[2.0, 0.0]]), 3 + 1j)[0] == eta(s, (2, 0), 3 + 1j)
+        for bad in ((2.9, 0), (2, 0.5), (float("nan"), 0), (float("inf"), 0)):
+            for make in (KType, lambda m: ktype(s, m), lambda m: eta(s, m, 3 + 1j)):
+                with pytest.raises(ValueError):
+                    make(bad)
+
 
 class TestGindikinGamma:
     def test_single_factor(self):

@@ -72,6 +72,24 @@ FUNK_HECKE_ORACLE = [
 ]
 
 
+_ORACLES = {
+    "cos_transform_sphere": lambda lam: cos_transform_sphere(2, lam, np.ones(32), sphere_grid(2, 4)),
+    "funk_hecke_1d": lambda lam: funk_hecke_1d(2, 2, lam),
+    "mc_c_p": lambda lam: mc_c_p(sig(2, 1, R), lam, 100, seed=0),
+    "mc_transform_ktype": lambda lam: mc_transform_ktype(sig(2, 1, R), lam, (2,), 100, seed=0),
+    "sin_transform_numeric": lambda lam: sin_transform_numeric(sig(3, 2, R), lam, (0, 0), 100, seed=0),
+}
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(4.0, math.inf), complex(math.nan, 0.0)],
+                         ids=["nan", "inf", "inf-imag", "nan-real"])
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+def test_non_finite_lambda_rejected(oracle, lam):
+    # Re(lambda) >= rho alone lets inf through, and NaN compares False both ways
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        _ORACLES[oracle](lam)
+
+
 class TestSphereGrid:
     @pytest.mark.parametrize("n,order", [(1, 16), (2, 12), (2, 64)])
     def test_normalized(self, n, order):
@@ -296,6 +314,14 @@ class TestFunkHecke:
         with pytest.raises(ValueError):
             funk_hecke_1d(2, 2, 1.0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sphere_dimension_validated(self, n):
+        # the closed form and the quadrature both need a sphere S^n, n >= 1
+        with pytest.raises(ValueError):
+            sphere_eta(n, 2, 1.0)
+        with pytest.raises(ValueError):
+            funk_hecke_1d(n, 2, 5.0)
+
 
 class TestMcCp:
     def test_exact_at_rho(self):
@@ -460,8 +486,11 @@ class TestSelberg:
     def test_oracle_validation(self):
         with pytest.raises(ValueError):
             selberg_oracle(3, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            selberg_oracle(2, -1.0, 1.0, 1.0)
+        for x in (-1.0, 0.0, math.nan, math.inf):  # finite positive reals only
+            for params in ((x, 1.0, 1.0), (1.0, x, 1.0), (1.0, 1.0, x)):
+                for p in (1, 2):
+                    with pytest.raises(ValueError):
+                        selberg_oracle(p, *params)
 
 
 class TestSpectralInversion:
