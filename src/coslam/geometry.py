@@ -15,6 +15,7 @@ All sampling takes an explicit numpy Generator; nothing touches global RNG
 state, so independent streams can run concurrently.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,42 +248,21 @@ def torus_point(sig, t):
 # ---------------------------------------------------------------------------
 
 
-_DRAW_CHUNK = 1024  # Ginibre samples per standard_normal call in frame_batch
-
-
-def _normal_parts(sig, rng, count, chunk):
-    """The real parts of count Ginibre matrices, as (part, start, normals).
-
-    normals holds samples start.. of that part, (k, n+1, n+1), in one buffer
-    that the next chunk overwrites.  Parts come in a fixed order (R: one;
-    C: re, im; H: alpha re, alpha im, beta re, beta im), each in sample
-    order, so rng yields the numbers of whole-part draws and every sampler
-    that starts here advances rng alike.
-    """
-    n1 = sig.n + 1
-    parts = {FieldTag.REAL: 1, FieldTag.COMPLEX: 2, FieldTag.QUATERNION: 4}[sig.field]
-    buf = np.empty((min(chunk, count), n1, n1))
-    for part in range(parts):
-        for start in range(0, max(count, 1), chunk):  # count 0: one empty chunk
-            normals = buf[: min(chunk, count - start)]
-            rng.standard_normal(out=normals)
-            yield part, start, normals
-
-
 def _ginibre(sig, rng, count):
-    """count Ginibre matrices as a stacked realization."""
-    parts = [normals.copy() for _, _, normals in _normal_parts(sig, rng, count, max(count, 1))]
+    """count Ginibre matrices as a stacked realization.  Each real part is
+    one standard_normal draw of (count, n+1, n+1), in a fixed order: R one;
+    C re, im; H alpha re, alpha im, beta re, beta im."""
+    part = functools.partial(rng.standard_normal, (count, sig.n + 1, sig.n + 1))
     if sig.field is FieldTag.REAL:
-        return parts[0]
-    if sig.field is FieldTag.COMPLEX:
-        return parts[0] + 1j * parts[1]
-    return quat_embed(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
+        return part()
+    alpha = part() + 1j * part()
+    return alpha if sig.field is FieldTag.COMPLEX else quat_embed(alpha, part() + 1j * part())
 
 
-def haar_batch(sig, rng, count):
-    """count independent Haar samples from K, as a stacked realization array.
+def _haar_from_ginibre(sig, mats):
+    """Haar samples from K, one per stacked Ginibre realization in mats.
 
-    QR of a Ginibre matrix, with each column of Q multiplied by the phase
+    QR of each matrix, with each column of Q multiplied by the phase
     diag(R)/|diag(R)| so that R has a positive real diagonal (Mezzadri,
     Notices AMS 2007).  Such a QR is unique, so Q is the Gram-Schmidt of
     the columns in order.  Over H that is the quaternionic Gram-Schmidt:
@@ -293,7 +273,7 @@ def haar_batch(sig, rng, count):
     last-column phase, which does not move the induced point on the
     Grassmannian.
     """
-    q, r = np.linalg.qr(_ginibre(sig, rng, count))
+    q, r = np.linalg.qr(mats)
     diag = np.einsum("bii->bi", r)
     q *= (diag / np.abs(diag))[:, None, :]
     if sig.field is not FieldTag.QUATERNION:
@@ -302,33 +282,37 @@ def haar_batch(sig, rng, count):
     return q
 
 
+def haar_batch(sig, rng, count):
+    """count independent Haar samples from K, as a stacked realization array."""
+    return _haar_from_ginibre(sig, _ginibre(sig, rng, count))
+
+
 def frame_batch(sig, rng, count, out=None):
-    """The Gaussian p-frames G behind haar_batch(sig, rng, count), samples last.
+    """count Gaussian p-frames G in K^(n+1), samples last, from one draw.
 
-    G is the first p field columns of the same Ginibre draw, and rng
-    advances exactly as under haar_batch.  The result has shape
-    (p, u, n+1, count): field column, part, row, sample.  R and C entries
-    have one part (u = 1); a quaternion a + b j keeps its complex parts
-    a and b (u = 2), with no 2 x 2 realization.  `out`, if given, is an
-    array of that shape and dtype whose last axis is contiguous; it is
-    filled and returned.  The normals pass through a buffer of _DRAW_CHUNK
-    samples, so the draw holds no whole Ginibre part.
+    The result has shape (p, u, n+1, count): field column, part, row,
+    sample.  R and C entries have one part (u = 1); a quaternion a + b j
+    keeps its complex parts a and b (u = 2), with no 2 x 2 realization.
+    One rng.standard_normal call fills the array's float64 view in C order,
+    so every real component of every entry is an iid N(0, 1), a complex
+    entry taking two consecutive normals (re, im).  `out`, if given, must
+    be a C-contiguous array of that shape and dtype; it is filled and
+    returned.
 
-    Column k of the QR factor depends only on columns 1..k of the draw, and
-    the phase fix gives the QR the positive real diagonal of Gram-Schmidt,
-    so the first p columns of the Haar sample are the Gram-Schmidt frame
-    of G (the determinant correction only touches column n+1).  Any |det|
-    of p rows of that frame and their Frobenius norm are therefore
-    functions of G alone.
+    G is distributed as the first p columns of a Ginibre matrix.  Column k
+    of the phase-fixed QR in _haar_from_ginibre depends only on columns
+    1..k, and the determinant correction only touches column n+1, so the
+    Gram-Schmidt frame of G is distributed as the first p columns of a Haar
+    sample: means over G of |det_K| of p rows of that frame, or of their
+    Frobenius norm, are Haar means.
     """
+    shape, dtype = (sig.p, _units(sig.field), sig.n + 1, count), np.dtype(_dtype(sig.field))
     if out is None:
-        out = np.empty((sig.p, _units(sig.field), sig.n + 1, count), dtype=_dtype(sig.field))
-    comps = 1 if sig.field is FieldTag.REAL else 2  # reals per entry
-    flat = out.view(np.float64)  # re, im interleaved along the sample axis
-    for i, start, normals in _normal_parts(sig, rng, count, _DRAW_CHUNK):
-        stop = comps * (start + len(normals))
-        flat[:, i // comps, :, comps * start + i % comps:stop:comps] = \
-            normals[:, :, :sig.p].transpose(2, 1, 0)
+        out = np.empty(shape, dtype)
+    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        # standard_normal would fill an F-contiguous out in its memory order
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
+    rng.standard_normal(out=out.view(np.float64))
     return out
 
 

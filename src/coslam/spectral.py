@@ -170,7 +170,10 @@ class _Laurent:
     """The algebra of SpectralValue and SpectralArray over their _columns,
     the Laurent orders and the logs of the leading coefficients: `*` and
     `/` add and subtract the columns and `==` compares them, with numpy
-    broadcasting, so a value combines with every cell of an array."""
+    broadcasting, so a value combines with every cell of an array.  numpy
+    operands defer to these methods instead of walking an array's cells."""
+
+    __array_ufunc__ = None
 
     def _apply(self, other, op, join):
         if not isinstance(other, _Laurent):

@@ -28,23 +28,23 @@ to about 1e-16 when Re(lambda) - rho >= 1.  The default azimuths = 1 claims
 no symmetry, and the same code is then the dense sum.
 
 Monte Carlo estimators: every integrand reads only the first p columns
-k.b_o of a Haar sample k, i.e. the orthonormalized p-frame of the Ginibre
-draw behind geometry.haar_batch.  The estimators read that Gaussian frame G
-(geometry.frame_batch: the same numbers from the same stream, laid out
-samples last) and run one batched Gram-Schmidt over its p field columns,
-each step a vector operation over the whole batch.  With Q the resulting
-orthonormal frame,
+k.b_o of a Haar sample k, which are distributed as the Gram-Schmidt frame of
+an (n+1) x p Gaussian frame G (the first p columns of the Ginibre matrix
+behind geometry.haar_batch).  So the estimators draw only G
+(geometry.frame_batch: one standard_normal call per batch, laid out samples
+last) and run one batched Gram-Schmidt over its p field columns, each step
+a vector operation over the whole batch.  With Q the resulting orthonormal
+frame,
 
     alpha_p(k) = prod GS-norms(G_rows) / prod GS-norms(G),
     |k_top|_F^2 = |Q_top|_F^2,
 
-which is exact.  The first p columns of k are Q: haar_batch's phase fix
-gives its QR the positive real diagonal that Gram-Schmidt has, and its
-determinant correction only touches column n+1.  A product of Gram-Schmidt
-norms of a square matrix is its |det_K|, and for G = Q R it is |det_K R| on
-the whole frame, so the ratio is |det_K Q_rows|.  Each estimate therefore
-equals the one computed from full Haar matrices to rounding, without the
-(n+1) x (n+1) QR, and the acceptance seeds keep their realizations.  A
+which is exact for the Haar sample whose first p columns are Q: a product
+of Gram-Schmidt norms of a square matrix is its |det_K|, and for G = Q R it
+is |det_K R| on the whole frame, so the ratio is |det_K Q_rows|.  Each
+estimate therefore equals the one computed from full Haar matrices built
+from G (completed by any further Gaussian columns) to rounding, without the
+(n+1) x (n+1) QR and without drawing the n+1-p columns it would discard.  A
 quaternionic column stays a pair of complex columns a + b j; its inner
 product and right scalar multiple are written out in a and b, so nothing
 builds the 2 x 2 complex realization.
@@ -57,10 +57,11 @@ results are bit-reproducible for a given (seed, workers) and independent of
 how the workers are scheduled.
 
 The streams run concurrently on min(workers, usable CPUs) threads, since a
-batch is numpy calls that release the GIL.  Each stream refills one frames
-array per batch and passes it to the estimator in views of at most 1 MiB
-(2**12 samples of Gr_2(H^4), a whole batch of Gr_2(R^4)), so two batches in
-flight take about the memory one batch took when the streams ran in turn.
+batch is numpy calls that release the GIL.  Each stream draws every batch
+into the contiguous prefix of one flat workspace sized for a batch, and
+passes it to the estimator in views of at most 1 MiB (2**12 samples of
+Gr_2(H^4), a whole batch of Gr_2(R^4)), so two batches in flight take about
+the memory one batch took when the streams ran in turn.
 """
 
 import cmath
@@ -75,7 +76,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 # haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
-from .geometry import frame_batch, haar_batch  # noqa: F401
+from .geometry import _dtype, _units, frame_batch, haar_batch  # noqa: F401
 from .scalar import gauss_legendre, gegenbauer
 from .spectral import _gamma, ktype
 
@@ -370,14 +371,16 @@ def _stream_sums(sig, value_fn, batch, stop, rng, count):
     # values are per sample, so evaluating views of at most _VIEW_BYTES of
     # frames leaves each batch sum as it is and keeps the estimator's
     # temporaries small; a batch of small frames stays one view, since each
-    # extra call costs more than it saves there.
+    # extra call costs more than it saves there.  Each batch is drawn into
+    # the contiguous prefix of one flat workspace, as frame_batch needs.
     s1 = 0.0 + 0.0j
     s2 = 0.0
-    frames = None
+    shape = (sig.p, _units(sig.field), sig.n + 1)
+    work = np.empty(math.prod(shape) * min(batch, count), dtype=_dtype(sig.field))
     left = count
     while left > 0 and not stop.is_set():
         take = min(batch, left)
-        frames = frame_batch(sig, rng, take, None if frames is None else frames[..., :take])
+        frames = frame_batch(sig, rng, take, work[:math.prod(shape) * take].reshape(shape + (take,)))
         block = max(1, _VIEW_BYTES // frames[..., 0].nbytes)
         vals = np.concatenate([value_fn(frames[..., i:i + block])
                                for i in range(0, take, block)])

@@ -2,6 +2,7 @@
 compensated arguments near singular hyperplanes, and the accuracy contract
 against 50-digit mpmath."""
 
+import operator
 import warnings
 
 import mpmath as mp
@@ -339,6 +340,19 @@ class TestSpectralArray:
             values * 2.0
         with pytest.raises(TypeError):
             values / 2.0
+
+    def test_numpy_on_the_left_defers(self):
+        # numpy must not walk the cells: == falls back to identity, and
+        # arithmetic with a bare ndarray is unsupported in either order.
+        values = c_p(sig(4, 1, C), [1.0, 2.0])
+        assert (np.ones(2) == values) is False
+        assert (values == np.ones(2)) is False
+        assert (np.ones(2) != values) is True
+        for op in (operator.mul, operator.truediv):
+            with pytest.raises(TypeError, match="'numpy.ndarray' and 'SpectralArray'"):
+                op(np.ones(2), values)
+            with pytest.raises(TypeError):
+                op(values, np.ones(2))
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_block_split_equals_whole(self, monkeypatch, block):

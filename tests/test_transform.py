@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coslam import spectral
-from coslam.geometry import _DRAW_CHUNK, frame_batch, haar_batch, quat_embed
+from coslam.geometry import _haar_from_ginibre, frame_batch, quat_embed
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_eta
 from coslam.transform import (
     ConvergenceError,
@@ -38,6 +38,27 @@ R, C, H = FieldTag.REAL, FieldTag.COMPLEX, FieldTag.QUATERNION
 
 def sig(n, p, field):
     return GrassmannSignature(n, p, field)
+
+
+def documented_frames(s, rng, count):
+    """The documented draw: one standard_normal of shape (p, u, n+1, c count),
+    c = 2 reals per complex entry, read as (p, u, n+1, count) field entries."""
+    u = 2 if s.field is H else 1
+    comps = 1 if s.field is R else 2
+    normals = rng.standard_normal((s.p, u, s.n + 1, comps * count))
+    return normals if s.field is R else normals.view(np.complex128)
+
+
+def haar_from_frames(s, frames, rng):
+    """Haar samples whose first p field columns are the Gram-Schmidt of the
+    (p, u, n+1, S) frames: the frames completed on the right by independent
+    Gaussian columns, then the phase-fixed QR of geometry."""
+    count, u, n1 = frames.shape[-1], frames.shape[1], s.n + 1
+    extra = rng.standard_normal((count, u, n1, n1 - s.p))
+    if s.field is not R:
+        extra = extra + 1j * rng.standard_normal(extra.shape)
+    full = np.concatenate([frames.transpose(3, 1, 2, 0), extra], axis=-1)  # (S, u, n+1, n+1)
+    return _haar_from_ginibre(s, quat_embed(full[:, 0], full[:, 1]) if u == 2 else full[:, 0])
 
 
 def test_oracles_never_call_the_closed_forms(monkeypatch):
@@ -533,8 +554,8 @@ class TestFrameEstimator:
     @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1)])
     def test_integrands_match_haar_formulas(self, field, n, p):
         s = sig(n, p, field)
-        mats = haar_batch(s, np.random.default_rng(31), self.COUNT)
         frames = frame_batch(s, np.random.default_rng(31), self.COUNT)
+        mats = haar_from_frames(s, frames, np.random.default_rng(32))
         top, below, test = self.haar_integrands(s, mats)
         assert np.abs(_frame_integrands(s, frames, 0)[0] - top).max() < 1e-12
         assert np.abs(_frame_integrands(s, frames, 1)[0] - below).max() < 1e-12
@@ -542,12 +563,11 @@ class TestFrameEstimator:
 
     @pytest.mark.parametrize("field", [R, C, H])
     @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1)])
-    def test_frame_draw_advances_stream_like_haar(self, field, n, p):
+    def test_frame_draw_is_one_standard_normal_draw(self, field, n, p):
         s = sig(n, p, field)
-        rng_frame, rng_haar = np.random.default_rng(8), np.random.default_rng(8)
-        frame_batch(s, rng_frame, 7)
-        haar_batch(s, rng_haar, 7)
-        assert rng_frame.standard_normal() == rng_haar.standard_normal()
+        rng_frame, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        assert np.array_equal(frame_batch(s, rng_frame, 7), documented_frames(s, rng_ref, 7))
+        assert rng_frame.standard_normal() == rng_ref.standard_normal()
 
 
 class TestBatchedGramSchmidt:
@@ -563,20 +583,21 @@ class TestBatchedGramSchmidt:
     @pytest.mark.parametrize("field", [R, C, H])
     @pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (3, 2), (5, 2), (5, 3), (7, 4)])
     def test_haar_columns_are_the_frame_gram_schmidt(self, n, p, field):
-        # The phase-fixed QR in haar_batch is the Gram-Schmidt of the same
-        # Ginibre draw, over H too, so its first p field columns are the
-        # estimators' orthonormalized frame.
+        # The phase-fixed QR behind haar_batch is the Gram-Schmidt of its
+        # Ginibre matrix, over H too, so the first p field columns of the
+        # Haar sample from [G | X] are the estimators' orthonormalized G.
         s = sig(n, p, field)
         u = 2 if field is H else 1
-        mats = haar_batch(s, np.random.default_rng(9), 2048)
-        q, _ = _gram_schmidt(frame_batch(s, np.random.default_rng(9), 2048))
+        frames = frame_batch(s, np.random.default_rng(9), 2048)
+        mats = haar_from_frames(s, frames, np.random.default_rng(10))
+        q, _ = _gram_schmidt(frames)
         assert np.abs(mats[:, :, :u * p] - self.realize(q)).max() < 1e-13
 
     @pytest.mark.parametrize("n,p,field", [(5, 3, R), (6, 3, C), (5, 3, H), (7, 2, H)])
     def test_integrands_match_haar_formulas_large_p(self, n, p, field):
         s = sig(n, p, field)
-        mats = haar_batch(s, np.random.default_rng(44), 2048)
         frames = frame_batch(s, np.random.default_rng(44), 2048)
+        mats = haar_from_frames(s, frames, np.random.default_rng(45))
         top, below, test = TestFrameEstimator.haar_integrands(s, mats)
         alpha_top, test_values = _frame_integrands(s, frames, 0)
         assert np.abs(alpha_top - top).max() < 1e-12
@@ -624,17 +645,19 @@ class TestBatchedGramSchmidt:
     @staticmethod
     def haar_mean(kind, s, mu, lam, samples, seed, workers, batch=1 << 14):
         # The documented realization: SeedSequence(seed).spawn(workers),
-        # contiguous chunks, 2**14-sample draws, from full Haar matrices.
+        # contiguous chunks, 2**14-sample frame draws, read through full
+        # Haar matrices completed from each frame.
         expo = lam - s.rho
         total = 0.0
         streams = np.random.SeedSequence(seed).spawn(workers)
+        completion = np.random.default_rng(0)
         for w, child in enumerate(streams):
             rng = np.random.default_rng(child)
             left = samples // workers + (w < samples % workers)
             while left:
                 take = min(batch, left)
-                top, below, test = TestFrameEstimator.haar_integrands(
-                    s, haar_batch(s, rng, take))
+                mats = haar_from_frames(s, documented_frames(s, rng, take), completion)
+                top, below, test = TestFrameEstimator.haar_integrands(s, mats)
                 vals = (below if kind == "sin" else top).astype(complex) ** expo
                 if any(mu):
                     vals = vals * test / (s.p * s.q / (s.n + 1.0))
@@ -729,6 +752,17 @@ class TestConcurrentStreams:
         assert est.mean == mean
         assert est.stderr == stderr
 
+    @pytest.mark.parametrize("n,p,field", [(2, 1, R), (3, 2, C), (3, 2, H)])
+    def test_last_partial_batch_equals_serial_streams(self, n, p, field):
+        # 50,000 samples per stream: three whole batches, then 848 samples
+        # drawn into the contiguous prefix of the stream's workspace.
+        s = sig(n, p, field)
+        lam = s.rho + 1.0 + 0.5j
+        est = mc_c_p(s, lam, 100_000, 321, workers=2)
+        assert 50_000 % self.BATCH == 848
+        mean, stderr = self.serial(s, self.values("c_p", s, (0,) * p, lam), 100_000, 321, 2)
+        assert (est.mean, est.stderr) == (mean, stderr)
+
     def test_threads_bounded_by_usable_cpus(self):
         s = sig(3, 2, C)
         fn = self.values("c_p", s, (0, 0), s.rho + 1.0)
@@ -774,34 +808,48 @@ class TestConcurrentStreams:
         assert len(calls) < 30 * views // 2
 
 
-class TestChunkedDraw:
-    """frame_batch draws the Ginibre parts in _DRAW_CHUNK-sample chunks into
-    one buffer; the frames and the stream position equal a whole-part draw."""
-
-    @staticmethod
-    def whole_part_frames(s, rng, count):
-        n1 = s.n + 1
-        parts = [rng.standard_normal((count, n1, n1))[:, :, :s.p]
-                 for _ in range({R: 1, C: 2, H: 4}[s.field])]
-        if s.field is R:
-            cols = [parts[0]]
-        elif s.field is C:
-            cols = [parts[0] + 1j * parts[1]]
-        else:
-            cols = [parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]]
-        return np.stack(cols).transpose(3, 0, 2, 1)  # (u, S, n+1, p) -> (p, u, n+1, S)
+class TestFrameDraw:
+    """frame_batch is one standard_normal call on the (p, u, n+1, count)
+    frames; a given `out` must be C-contiguous, and the estimators hand it
+    the contiguous prefix of one flat workspace."""
 
     @pytest.mark.parametrize("field", [R, C, H])
-    @pytest.mark.parametrize("count", [0, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
-                                       16_387])
-    def test_workspace_fill_matches_whole_parts(self, field, count):
+    @pytest.mark.parametrize("count", [0, 1, 16_383, 16_384, 16_387])
+    def test_fill_with_and_without_out(self, field, count):
         s = sig(3, 2, field)
-        ref = self.whole_part_frames(s, np.random.default_rng(17), count)
-        work = np.full(ref.shape[:-1] + (16_400,), np.nan, dtype=ref.dtype)
-        rng = np.random.default_rng(17)
-        assert np.array_equal(frame_batch(s, rng, count, work[..., :count]), ref)
-        assert np.isnan(work[..., count:]).all()
-        assert np.array_equal(frame_batch(s, np.random.default_rng(17), count), ref)
-        rng_haar = np.random.default_rng(17)
-        haar_batch(s, rng_haar, count)
-        assert rng.standard_normal() == rng_haar.standard_normal()
+        ref_rng = np.random.default_rng(17)
+        ref = documented_frames(s, ref_rng, count)
+        after = ref_rng.standard_normal()
+        work = np.full(math.prod(ref.shape[:-1]) * 16_400, np.nan, dtype=ref.dtype)
+        prefix = work[:ref.size].reshape(ref.shape)
+        for out in (prefix, None):
+            rng = np.random.default_rng(17)
+            frames = frame_batch(s, rng, count, out)
+            assert out is None or frames is out
+            assert np.array_equal(frames, ref)
+            assert rng.standard_normal() == after
+        assert np.isnan(work[ref.size:]).all()
+
+    @pytest.mark.parametrize("field", [R, C, H])
+    def test_non_contiguous_out_rejected(self, field):
+        s = sig(3, 2, field)
+        full = frame_batch(s, np.random.default_rng(3), 64)
+        fortran = np.empty(full.shape[::-1], dtype=full.dtype).T
+        for out in (full[..., :63], full[..., ::2], fortran):
+            with pytest.raises(ValueError):
+                frame_batch(s, np.random.default_rng(3), out.shape[-1], out)
+        with pytest.raises(ValueError):  # contiguous, but not the shape of the draw
+            frame_batch(s, np.random.default_rng(3), 32, full)
+
+    @pytest.mark.parametrize("n,p,field", [(2, 1, R), (3, 2, R), (3, 2, C), (3, 2, H)])
+    def test_top_block_mass_is_the_dimension_ratio(self, n, p, field):
+        # |Q_top|_F^2 of a Haar p-frame has mean p^2/(n+1): each of the
+        # p^2 entries of the top block has mean square 1/(n+1).
+        s = sig(n, p, field)
+        rng = np.random.default_rng(2024)
+        vals = np.concatenate([
+            np.einsum("pums,pums->s", q[:, :, :p].conj(), q[:, :, :p]).real
+            for q, _ in (_gram_schmidt(frame_batch(s, rng, 1 << 14)) for _ in range(8))])
+        assert len(vals) == 1 << 17
+        stderr = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - p ** 2 / (n + 1.0)) < 4.0 * stderr
