@@ -27,8 +27,8 @@ from dataclasses import field as _field
 import numpy as np
 
 from . import verify as verify_mod
-from .spectral import (FieldTag, GrassmannSignature, SpectralValue, c_p, enumerate_ktypes,
-                       eta, ktype, nu, omega)
+from .spectral import (FieldTag, GrassmannSignature, SpectralValue, _plan, c_p,
+                       enumerate_ktypes, eta, ktype, nu, omega)
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -398,39 +398,27 @@ def _cmd_cp(cfg):
 
 
 def _eta_factor_hits(sig, mu, re_min, re_max):
-    """Real-axis crossings of the singular hyperplanes of the four
-    Gamma_{p,d} factor groups in the eigenvalue formula, sorted by (lambda,
-    factor, j, k): the columns lambda_re, factor, side, j (from 1), k.
-
-    Component j of a factor is singular when its argument minus (d/2) j is
-    a non-positive integer -k, i.e. along lambda = base_j +/- 2k.
-    """
-    d, rho, p, m = sig.d, sig.rho, sig.p, mu.m
-    groups = [  # in the order of their names
-        # Gamma_{p,d}((lambda - rho + dp)/2): poles of the eigenvalue.
-        ("cos-kernel", "numerator", lambda j: rho - d * p + d * j, -1),
-        # 1 / Gamma_{p,d}((lambda + rho + mu)/2): zeros.
-        ("kernel-dual", "denominator", lambda j: -rho - m[j] + d * j, -1),
-        # Gamma_{p,d}((-lambda + rho + mu)/2): poles.
-        ("ktype-shift", "numerator", lambda j: rho + m[j] - d * j, +1),
-        # 1 / Gamma_{p,d}((-lambda + rho)/2): zeros.
-        ("weight", "denominator", lambda j: rho - d * j, +1),
-    ]
-    lam, group, js, ks = [], [], [], []
-    for g, (_, _, base_of, direction) in enumerate(groups):
-        for j in range(p):
-            base = base_of(j)
-            lo, hi = ((re_min - base, re_max - base) if direction > 0
-                      else (base - re_max, base - re_min))
-            k = range(max(0, math.ceil(lo / 2.0 - 1e-12)), math.floor(hi / 2.0 + 1e-12) + 1)
-            lam += [base + direction * 2.0 * kk for kk in k]
-            group += [g] * len(k)
-            js += [j + 1] * len(k)
-            ks += k  # Python ints: far out on the real axis k exceeds 64 bits
-    lam = np.array(lam, dtype=float)
-    order = np.lexsort((js, group, lam)).tolist()  # stable, so k ascends within (factor, j)
-    return (lam[order], [groups[group[i]][0] for i in order],
-            [groups[group[i]][1] for i in order], [js[i] for i in order], [ks[i] for i in order])
+    """Real-axis crossings of the singular hyperplanes of the factors in
+    spectral._plan, sorted by (lambda, factor, j, k): the columns lambda_re,
+    factor, side, j (from 1), k.  Column j of a factor is Gamma at (s/2)
+    lambda + c, c its halved constant at mu, singular at the non-positive
+    integers -k: along lambda = base - 2sk, base = -2sc."""
+    plan = _plan(sig)
+    consts = plan["half_base"] + np.array(mu.m) @ plan["half_shift"]
+    lam, cols, ks = [], [], []
+    for i, (s, c) in enumerate(zip((2.0 * plan["half_sign"]).tolist(), consts.tolist())):
+        base = 0.0 - 2.0 * s * c  # not -2sc, which reads -0.0 at c = 0
+        lo, hi = (re_min - base, re_max - base) if s < 0 else (base - re_max, base - re_min)
+        k = range(max(0, math.ceil(lo / 2.0 - 1e-12)), math.floor(hi / 2.0 + 1e-12) + 1)
+        lam += [base - 2.0 * s * kk for kk in k]
+        cols += [i] * len(k)
+        ks += k  # Python ints: far out on the real axis k exceeds 64 bits
+    lam, cols = np.array(lam, dtype=float), np.array(cols, dtype=int)
+    factor, js = plan["factor"][cols], cols % sig.p + 1
+    order = np.lexsort((js, factor, lam))  # stable, so k ascends within (factor, j)
+    side = np.where(plan["power"][cols[order]] > 0, "numerator", "denominator")
+    return (lam[order], factor[order].tolist(), side.tolist(), js[order].tolist(),
+            [ks[i] for i in order.tolist()])
 
 
 def _cmd_poles(cfg):

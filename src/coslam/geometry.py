@@ -89,6 +89,11 @@ def _abs_det_field(field, block):
     return dets
 
 
+def _require_finite(values, what):  # before numpy warns on them
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An isometry of K^(n+1), stored as the realization of its matrix."""
@@ -103,9 +108,10 @@ class GroupElement:
         size = u * (self.sig.n + 1)
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} realization, got {mat.shape}")
-        if self.sig.field is FieldTag.QUATERNION and quat_structure_error(mat) > 1e-12:
+        _require_finite(mat, "matrix entries")
+        if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(mat) <= 1e-12:
             raise ValueError("matrix does not have the quaternionic block structure")
-        if abs(_abs_det_field(self.sig.field, mat) ** self.sig.d - 1.0) > 1e-10:
+        if not abs(_abs_det_field(self.sig.field, mat) ** self.sig.d - 1.0) <= 1e-10:
             raise ValueError("matrix is not special: |det_R| != 1")
 
 
@@ -123,10 +129,11 @@ class FramePoint:
         shape = (u * (self.sig.n + 1), u * self.sig.p)
         if frame.shape != shape:
             raise ValueError(f"expected a {shape} frame, got {frame.shape}")
+        _require_finite(frame, "frame entries")
         gram = frame.conj().T @ frame
-        if np.abs(gram - np.eye(shape[1])).max() > 1e-10:
+        if not np.abs(gram - np.eye(shape[1])).max() <= 1e-10:
             raise ValueError("frame columns are not orthonormal")
-        if self.sig.field is FieldTag.QUATERNION and quat_structure_error(frame) > 1e-12:
+        if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(frame) <= 1e-12:
             raise ValueError("frame does not have the quaternionic block structure")
 
 
@@ -227,8 +234,8 @@ def torus_point(sig, t):
     element exchanging the base point with its orthocomplement.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (sig.p,):
-        raise ValueError(f"need a {sig.p}-tuple of angles")
+    if t.shape != (sig.p,) or not np.isfinite(t).all():
+        raise ValueError(f"need a {sig.p}-tuple of finite angles")
     n1 = sig.n + 1
     mat = np.eye(n1)
     for j in range(sig.p):

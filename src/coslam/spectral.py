@@ -5,9 +5,9 @@ L^2 of the Grassmannian (the K-types, indexed by p-tuples of even integers).
 This module implements:
 
 * the closed forms c_p, eta, nu (one vectorized Gindikin-Gamma ratio over
-  arrays of lambda and K-types, whose factors _plan lays out and
-  _gindikin_block evaluates), the Gindikin Gamma gindikin_gamma and the
-  sphere specialization sphere_eta,
+  arrays of lambda and K-types, whose one factor table _plan the `poles`
+  report reads too), the Gindikin Gamma gindikin_gamma and the sphere
+  specialization sphere_eta,
 * the adjacent-type step ratio and the spectrum-generating recursion that
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, adjacency, Casimir eigenvalue).
@@ -322,7 +322,9 @@ class SpectralArray(_Laurent):
 
     def prod(self, axis=None):
         """Product of the cells along axis, or of every cell (1 over an
-        empty axis): the two columns summed by numpy."""
+        empty axis): the two columns summed by numpy.  Each row of a C-ordered
+        column sums in one pairwise order whatever the number of rows, so
+        array calls of the closed forms equal scalar calls."""
         return _spectral(self.order.sum(axis), self.log.sum(axis))
 
 
@@ -333,17 +335,18 @@ def _spectral(order, log):
     return SpectralArray(order, log)
 
 
-def _gamma(z, slope=1.0, power=1):
-    """Gamma(z)^power per element; z, slope and power broadcast together.
+def _gamma(z, slope=1.0, power=1, residual=None):
+    """Gamma(z + residual)^power per element, residual as in log_gamma; z,
+    slope, power and residual broadcast together.
 
     slope is dz/dlambda for z a function of lambda: where z sits on a pole
     of Gamma the cell is a pole marker whose coefficient is the residue over
     slope, so the leading Laurent coefficient in lambda stays exact and
     removable singularities of a product cancel correctly.
     """
-    pole, lg = log_gamma(z, log_slope=np.log(np.asarray(slope, dtype=complex)))
+    pole, lg = log_gamma(z, residual, np.log(np.asarray(slope, dtype=complex)))
     power = np.asarray(power)
-    return _spectral(power * pole, power * lg)
+    return _spectral(power * pole, np.multiply(power, lg, order="C"))
 
 
 def _linear(value, slope):
@@ -448,36 +451,32 @@ def omega(sig, mu):
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(sig, kind, zero_mu=False):
-    """Factor columns of the closed form of eta or nu, and its constant head.
-
-    A form is a sign flag for (-1)^(|mu|/2), head entries (c, w) for
-    Gamma_{p,d}(c/2)^w and groups (s, c, shifted, w) for
-    Gamma_{p,d}((s*lambda + c + mu)/2)^w, mu only if shifted.  Component j
-    is Gamma at half_sign*lambda + half_base + m_j/2, half of an exact
-    (half-)integer c + m_j - d*j.  With zero_mu (mu = 0) the groups that
+def _plan(sig, zero_mu=False):
+    """The one table of eta's Gindikin factors, read by c_p, eta, nu and
+    the `poles` report: eta_mu(lambda) is (-1)^(|mu|/2) exp(head_log) times
+    the groups (name, s, c, shifted, w), Gamma_{p,d}((s*lambda + c + mu)/2)^w
+    with mu only if shifted.  Column j of a group (named by `factor`) is
+    Gamma at half_sign*lambda + half_base + mu @ half_shift, half of an
+    exact (half-)integer, to the power `power`.  For p = q, nu is the same
+    table unsigned, as rho = dp.  With zero_mu (mu = 0) the groups that
     then cancel in pairs are left out.
     """
     rho, d, p = sig.rho, sig.d, sig.p
-    if kind == "nu":
-        signed, head, first = False, ((2.0 * rho, +1), (rho, -1)), (+1, 0.0, False, +1)
-    else:
-        signed, head = True, ((d * (sig.n + 1), +1), (d * p, -1))
-        first = (+1, -rho + d * p, False, +1)
-    groups = (first, (-1, rho, True, +1), (-1, rho, False, -1), (+1, rho, True, -1))
+    head = (gindikin_gamma(p, d, [0.5 * d * (sig.n + 1)] * p)
+            / gindikin_gamma(p, d, [0.5 * d * p] * p))
+    groups = (("cos-kernel", +1, -rho + d * p, False, +1), ("ktype-shift", -1, rho, True, +1),
+              ("weight", -1, rho, False, -1), ("kernel-dual", +1, rho, True, -1))
     if zero_mu:
-        groups = [(s, c, False, w) for s, c, _, w in groups]
-        groups = [g for g in groups if (g[0], g[1], False, -g[3]) not in groups]
+        groups = [(name, s, c, False, w) for name, s, c, _, w in groups]
+        groups = [g for g in groups if (*g[1:4], -g[4]) not in [h[1:] for h in groups]]
     j = np.arange(p)
-    half_sign = 0.5 * np.repeat([g[0] for g in groups], p)
     return {
-        "sign_pi": 1j * np.pi if signed else 0.0,
-        "head_log": complex(sum(w * log_gamma(0.5 * (c - d * j)).sum() for c, w in head)),
-        "half_sign": half_sign,
-        "half_base": 0.5 * np.concatenate([g[1] - d * j for g in groups]),
-        "half_shift": np.hstack([0.5 * g[2] * np.eye(p) for g in groups]),
-        "power": np.repeat([g[3] for g in groups], p),
-        "log_slope": np.log(half_sign.astype(complex)),  # for residues at poles
+        "head_log": head.log_coeff,
+        "factor": np.repeat([g[0] for g in groups], p),
+        "half_sign": 0.5 * np.repeat([g[1] for g in groups], p),
+        "half_base": 0.5 * np.concatenate([g[2] - d * j for g in groups]),
+        "half_shift": np.hstack([0.5 * g[3] * np.eye(p) for g in groups]),
+        "power": np.repeat([g[4] for g in groups], p),
     }
 
 
@@ -486,8 +485,8 @@ _BLOCK = 1 << 18
 
 
 def _gindikin_block(plan, c, lam):
-    """Order and log of the lambda-dependent factors for the halved
-    constants c (k, 1, F) and lambda (1, l, 1): arrays of shape (k, l)."""
+    """The product of a plan's lambda-dependent factors for the halved
+    constants c (k, 1, F) and lambda (1, l, 1): a (k, l) SpectralArray."""
     half_sign = plan["half_sign"]
     a = half_sign * lam.real
     # TwoSum: a + c = x + e exactly.  The argument is evaluated at x and the
@@ -498,17 +497,13 @@ def _gindikin_block(plan, c, lam):
     e = (a - (x - t)) + (c - t)
     z = x.astype(complex)
     z.imag = half_sign * lam.imag
-    pole, lg = log_gamma(z, e, plan["log_slope"])
-    # A C-ordered product makes every row sum in the same (pairwise) order,
-    # whatever the number of rows, so array calls equal scalar calls.
-    power = plan["power"]
-    return (power * pole).sum(-1), np.multiply(power, lg, order="C").sum(-1)
+    return _gamma(z, half_sign, plan["power"], residual=e).prod(axis=-1)
 
 
-def _gindikin_ratio(sig, mu, lam, kind):
-    """A closed form over K-types mu (one, a sequence, or None for the zero
-    K-type) and lambdas lam; every cell is the same elementwise computation."""
-    plan = _plan(sig, kind, mu is None)
+def _gindikin_ratio(sig, mu, lam, signed=True):
+    """eta, or nu unsigned, over K-types mu (one, a sequence, or None for
+    mu = 0) and lambdas lam; every cell is the same elementwise computation."""
+    plan = _plan(sig, mu is None)
     ms, single = (np.zeros((1, sig.p), dtype=int), True) if mu is None else _ktype_matrix(sig, mu)
     kshape = () if single else (len(ms),)
     c = plan["half_base"] + ms @ plan["half_shift"]
@@ -518,11 +513,11 @@ def _gindikin_ratio(sig, mu, lam, kind):
         raise ValueError("lambda must be finite")
     lshape, lam = lam.shape, lam.reshape(-1)
     step = max(1, _BLOCK // max(1, c.size))
-    order, log = zip(*(_gindikin_block(plan, c[:, None, :], lam[None, l0:l0 + step, None])
-                       for l0 in range(0, max(len(lam), 1), step)))
-    order = np.concatenate(order, axis=1)
-    head = plan["head_log"] + plan["sign_pi"] * (degree // 2)
-    log = np.concatenate(log, axis=1) + head[:, None]
+    blocks = [_gindikin_block(plan, c[:, None, :], lam[None, l0:l0 + step, None])
+              for l0 in range(0, max(len(lam), 1), step)]
+    order = np.concatenate([b.order for b in blocks], axis=1)
+    head = plan["head_log"] + (1j * np.pi if signed else 0.0) * (degree // 2)
+    log = np.concatenate([b.log for b in blocks], axis=1) + head[:, None]
     return _spectral(order.reshape(kshape + lshape), log.reshape(kshape + lshape))
 
 
@@ -537,7 +532,7 @@ def c_p(sig, lam):
     eta at mu = 0, and takes an array of lambdas as eta does (a
     SpectralArray of lam's shape).
     """
-    return _gindikin_ratio(sig, None, lam, "eta")
+    return _gindikin_ratio(sig, None, lam)
 
 
 def eta(sig, mu, lam):
@@ -553,7 +548,7 @@ def eta(sig, mu, lam):
     SpectralArray of shape (len(mu),) + lam.shape (no first axis for one
     K-type), each cell equal to its scalar call.
     """
-    return _gindikin_ratio(sig, mu, lam, "eta")
+    return _gindikin_ratio(sig, mu, lam)
 
 
 def eta_step_ratio(sig, mu, j, lam):
@@ -627,7 +622,7 @@ def nu(sig, mu, lam):
     """
     if not sig.split_rank_equal:
         raise ValueError("the sine transform needs p = q")
-    return _gindikin_ratio(sig, mu, lam, "nu")
+    return _gindikin_ratio(sig, mu, lam, signed=False)
 
 
 def sphere_eta(n, m, lam):

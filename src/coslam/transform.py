@@ -212,6 +212,10 @@ def sphere_quadrature_tolerance(lam, n, order=64):
     [1, 2), 1e-4 from lambda = rho + 2 on (where acceptance runs); halve the
     order and the bound grows by roughly 10x.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if not cmath.isfinite(lam):
+        raise ValueError("lambda must be finite")
     gap = complex(lam).real - (n + 1) / 2.0
     if gap < 1.0:
         base = 1e-2
@@ -363,10 +367,11 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+_BATCH = 1 << 14  # samples per frame draw of a worker stream
 _VIEW_BYTES = 1 << 20  # frames per estimator call: 2**12 samples of Gr_2(H^4)
 
 
-def _stream_sums(sig, value_fn, batch, stop, rng, count):
+def _stream_sums(sig, value_fn, stop, rng, count):
     # (sum of values, sum of |values|^2, count) of one worker stream.  The
     # values are per sample, so evaluating views of at most _VIEW_BYTES of
     # frames leaves each batch sum as it is and keeps the estimator's
@@ -376,10 +381,10 @@ def _stream_sums(sig, value_fn, batch, stop, rng, count):
     s1 = 0.0 + 0.0j
     s2 = 0.0
     shape = (sig.p, _units(sig.field), sig.n + 1)
-    work = np.empty(math.prod(shape) * min(batch, count), dtype=_dtype(sig.field))
+    work = np.empty(math.prod(shape) * min(_BATCH, count), dtype=_dtype(sig.field))
     left = count
     while left > 0 and not stop.is_set():
-        take = min(batch, left)
+        take = min(_BATCH, left)
         frames = frame_batch(sig, rng, take, work[:math.prod(shape) * take].reshape(shape + (take,)))
         block = max(1, _VIEW_BYTES // frames[..., 0].nbytes)
         vals = np.concatenate([value_fn(frames[..., i:i + block])
@@ -390,7 +395,7 @@ def _stream_sums(sig, value_fn, batch, stop, rng, count):
     return s1, s2, count
 
 
-def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14):
+def _mc_mean(sig, value_fn, samples, seed, workers):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if workers < 1:
@@ -398,7 +403,7 @@ def _mc_mean(sig, value_fn, samples, seed, workers, batch=1 << 14):
     # A thread cannot be interrupted: if the wait below ends early (an error
     # in a stream, Ctrl-C), stop ends the streams in flight after one batch.
     stop = threading.Event()
-    stream = functools.partial(_stream_sums, sig, value_fn, batch, stop)
+    stream = functools.partial(_stream_sums, sig, value_fn, stop)
     with ThreadPoolExecutor(min(workers, _usable_cpus())) as pool:
         try:
             parts = list(pool.map(stream, worker_streams(seed, workers),

@@ -584,6 +584,34 @@ def reference_hits(sig, mu, re_min, re_max):
     return hits
 
 
+ALL_SIGNATURES = [GrassmannSignature(n, p, field) for field in FieldTag
+                  for n in range(1, 8) for p in range(1, (n + 1) // 2 + 1)]
+
+
+class TestFactorHits:
+    """cli._eta_factor_hits, which reads spectral._plan, against the
+    factor list written out in reference_hits."""
+
+    @pytest.mark.parametrize("where", ["window", "on-crossing", "+1e15", "-1e15", "-1e20",
+                                       "1e300"])
+    @pytest.mark.parametrize("s", ALL_SIGNATURES, ids=lambda s: s.label())
+    def test_matches_reference(self, s, where):
+        re_min, re_max = {"window": (-20.0, 20.0), "on-crossing": (s.rho, s.rho),
+                          "+1e15": (1e15, 1e15 + 6.0), "-1e15": (-1e15 - 6.0, -1e15),
+                          "-1e20": (-1e20, -1e20), "1e300": (1e300, 1e300)}[where]
+        rows = 0
+        for mu in enumerate_ktypes(s, 6):
+            lam, factor, side, j, k = cli._eta_factor_hits(s, mu, re_min, re_max)
+            ref = reference_hits(s, mu, re_min, re_max)
+            assert list(map(repr, lam.tolist())) == [repr(h["lambda_re"]) for h in ref]
+            assert (factor, side, j, k) == tuple([h[key] for h in ref]
+                                                 for key in ("factor", "side", "j", "k"))
+            assert all(type(x) is int for x in j + k)
+            rows += len(ref)
+        if where == "on-crossing":
+            assert rows  # the weight factor crosses at lambda = rho for every mu
+
+
 def sv_csv(sv):
     if sv is None:
         return ["", "", "", ""]

@@ -97,6 +97,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             GroupElement(s, bad)
 
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        # ValueError before numpy warns (every warning is an error here).
+        s = sig(2, 1, field)
+        u = 2 if field is H else 1
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            GroupElement(s, np.full((3 * u, 3 * u), bad))
+        mat = np.eye(3 * u)
+        mat[-1, -1] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            GroupElement(s, mat)
+        frame = np.eye(3 * u)[:, :u]
+        frame[0, 0] = bad
+        with pytest.raises(ValueError, match="frame entries must be finite"):
+            FramePoint(s, frame)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_angles_rejected(self, field, bad):
+        s = sig(3, 2, field)
+        with pytest.raises(ValueError, match="finite angles"):
+            torus_point(s, [0.25, bad])
+
 
 class TestAlpha:
     @pytest.mark.parametrize("field", ALL_FIELDS)

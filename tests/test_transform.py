@@ -208,6 +208,23 @@ class TestCosTransformSphere:
                 assert abs(r32 - r64) < 10.0 * tol
                 assert abs(r64 - ref) < tol
 
+    @pytest.mark.parametrize("order", [0, -4])
+    def test_tolerance_needs_the_grid_order(self, order):
+        # the orders sphere_grid rejects
+        with pytest.raises(ValueError):
+            sphere_grid(2, order)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            sphere_quadrature_tolerance(3.5, 2, order=order)
+
+    @pytest.mark.parametrize("lam", [math.nan, complex(3.5, math.nan), math.inf])
+    def test_tolerance_needs_a_finite_lambda(self, lam):
+        # the lambdas cos_transform_sphere rejects
+        grid = sphere_grid(2, 8)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            cos_transform_sphere(2, lam, np.ones(len(grid.weights)), grid)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            sphere_quadrature_tolerance(lam, 2)
+
 
 class TestRingSymmetricQuadrature:
     """cos_transform_sphere through ring symmetry against the dense sum."""
