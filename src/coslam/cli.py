@@ -413,12 +413,14 @@ def _eta_factor_hits(sig, mu, re_min, re_max):
         lam += [base - 2.0 * s * kk for kk in k]
         cols += [i] * len(k)
         ks += k  # Python ints: far out on the real axis k exceeds 64 bits
-    lam, cols = np.array(lam, dtype=float), np.array(cols, dtype=int)
-    factor, js = plan["factor"][cols], cols % sig.p + 1
-    order = np.lexsort((js, factor, lam))  # stable, so k ascends within (factor, j)
-    side = np.where(plan["power"][cols[order]] > 0, "numerator", "denominator")
-    return (lam[order], factor[order].tolist(), side.tolist(), js[order].tolist(),
-            [ks[i] for i in order.tolist()])
+    lam = np.array(lam, dtype=float)
+    rank = np.argsort(np.argsort(plan["factor"], kind="stable"))  # columns by (factor, j)
+    order = np.lexsort((rank[cols], lam)).tolist()  # stable, so k ascends within a column
+    cols = [cols[i] for i in order]
+    factor = plan["factor"].tolist()
+    side = ["numerator" if w > 0 else "denominator" for w in plan["power"].tolist()]
+    return (lam[order], [factor[i] for i in cols], [side[i] for i in cols],
+            [i % sig.p + 1 for i in cols], [ks[i] for i in order])
 
 
 def _cmd_poles(cfg):
