@@ -12,11 +12,12 @@ import numpy as np
 from coslam import (
     FieldTag,
     GrassmannSignature,
+    GroupElement,
+    act,
     base_point,
     cos_angle,
     eta,
     nu,
-    perp,
     selberg_closed,
     selberg_oracle,
     sin_transform_numeric,
@@ -38,8 +39,11 @@ print("  (p=1 and alpha=1/2, g=1 special cases: Beta(g1,g2) and "
 print("\n== the orthocomplement map ==")
 sig = GrassmannSignature(3, 2, FieldTag.REAL)
 bo = base_point(sig)
-print(f"  |Cos(b_o, b_o^perp)| = {cos_angle(bo, perp(bo)):.1e} (perpendicular)")
-print(f"  |Cos(b_o, (b_o^perp)^perp)| = {cos_angle(bo, perp(perp(bo))):.6f} (involution)")
+# the exact quarter turn in the (j, q+j) planes takes b_o to its orthocomplement
+eye, zero = np.eye(sig.p), np.zeros((sig.p, sig.p))
+w = GroupElement(sig, np.block([[zero, -eye], [eye, zero]]))
+print(f"  |Cos(b_o, b_o^perp)| = {cos_angle(bo, act(w, bo)):.1e} (perpendicular)")
+print(f"  |Cos(b_o, (b_o^perp)^perp)| = {cos_angle(bo, act(w, act(w, bo))):.6f} (involution)")
 
 print("\n== sine-transform spectrum: sign-twisted cosine spectrum ==")
 lam = sig.rho + 2.0

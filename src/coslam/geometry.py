@@ -34,7 +34,6 @@ __all__ = [
     "group_inverse",
     "alpha_p",
     "cos_angle",
-    "perp",
     "torus_point",
     "haar_sample",
     "haar_batch",
@@ -109,10 +108,11 @@ class GroupElement:
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} realization, got {mat.shape}")
         _require_finite(mat, "matrix entries")
-        if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(mat) <= 1e-12:
-            raise ValueError("matrix does not have the quaternionic block structure")
-        if not abs(_abs_det_field(self.sig.field, mat) ** self.sig.d - 1.0) <= 1e-10:
-            raise ValueError("matrix is not special: |det_R| != 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail the checks
+            if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(mat) <= 1e-12:
+                raise ValueError("matrix does not have the quaternionic block structure")
+            if not abs(_abs_det_field(self.sig.field, mat) ** self.sig.d - 1.0) <= 1e-10:
+                raise ValueError("matrix is not special: |det_R| != 1")
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,12 @@ class FramePoint:
         if frame.shape != shape:
             raise ValueError(f"expected a {shape} frame, got {frame.shape}")
         _require_finite(frame, "frame entries")
-        gram = frame.conj().T @ frame
-        if not np.abs(gram - np.eye(shape[1])).max() <= 1e-10:
-            raise ValueError("frame columns are not orthonormal")
-        if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(frame) <= 1e-12:
-            raise ValueError("frame does not have the quaternionic block structure")
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail the checks
+            gram = frame.conj().T @ frame
+            if not np.abs(gram - np.eye(shape[1])).max() <= 1e-10:
+                raise ValueError("frame columns are not orthonormal")
+            if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(frame) <= 1e-12:
+                raise ValueError("frame does not have the quaternionic block structure")
 
 
 def base_point(sig):
@@ -142,12 +143,6 @@ def base_point(sig):
     u = _units(sig.field)
     eye = np.eye(u * (sig.n + 1), dtype=_dtype(sig.field))
     return FramePoint(sig, eye[:, : u * sig.p])
-
-
-def frame_of(g):
-    """The point g . b_o, i.e. the first p columns of g."""
-    u = _units(g.sig.field)
-    return FramePoint(g.sig, g.mat[:, : u * g.sig.p])
 
 
 def act(g, b):
@@ -188,43 +183,6 @@ def cos_angle(b, c):
     if b.sig.field is FieldTag.QUATERNION:
         val = np.sqrt(val)
     return min(val, 1.0)
-
-
-def perp(b):
-    """Orthocomplement frame; needs p = q so the result lives on the same space."""
-    sig = b.sig
-    if not sig.split_rank_equal:
-        raise ValueError("orthocomplement stays in the same Grassmannian only for p = q")
-    if sig.field is FieldTag.QUATERNION:
-        comp = _quat_complete(b.frame)
-    else:
-        q_full, _ = np.linalg.qr(b.frame, mode="complete")
-        comp = q_full[:, b.frame.shape[1]:]
-    return FramePoint(sig, comp)
-
-
-def _quat_complete(frame):
-    # Extend a quaternionic frame to a full unitary by Gram-Schmidt over the
-    # standard basis, keeping the 2x2 block structure intact.
-    n2 = frame.shape[0]
-    need = (n2 - frame.shape[1]) // 2
-    cols = [frame[:, 2 * i: 2 * i + 2] for i in range(frame.shape[1] // 2)]
-    out = []
-    for i in range(n2 // 2):
-        cand = np.zeros((n2, 2), dtype=np.complex128)
-        cand[2 * i, 0] = 1.0
-        cand[2 * i + 1, 1] = 1.0
-        for _ in range(2):
-            for qcol in cols:
-                cand = cand - qcol @ (qcol.conj().T @ cand)
-        nrm = np.sqrt(cand[:, 0].conj() @ cand[:, 0]).real
-        if nrm > 1e-6:
-            cand = cand / nrm
-            cols.append(cand)
-            out.append(cand)
-            if len(out) == need:
-                break
-    return np.hstack(out)
 
 
 def torus_point(sig, t):

@@ -10,7 +10,7 @@ This module implements:
   specialization sphere_eta,
 * the adjacent-type step ratio and the spectrum-generating recursion that
   rebuilds eta from eta_0 = c_p one lattice step at a time,
-* the K-type lattice itself (enumeration, adjacency, Casimir eigenvalue).
+* the K-type lattice itself (enumeration, Casimir eigenvalue).
 
 A spectral quantity at one point is a SpectralValue, which keeps explicit
 pole/zero markers with orders so that ratios of Gamma factors at coinciding
@@ -107,7 +107,8 @@ class GrassmannSignature:
 
     @property
     def split_rank_equal(self):
-        """True when p = q, the case where the orthocomplement map is defined."""
+        """True when p = q: the case of the sine transform and, over R, of
+        K-types with a negative last entry."""
         return self.p == self.q
 
     def label(self):
@@ -203,37 +204,6 @@ class SpectralValue(_Laurent):
     laurent_order: int = 0  # > 0: pole of that order, < 0: zero, 0: finite
     log_coeff: complex = 0.0 + 0.0j
 
-    @classmethod
-    def finite(cls, value):
-        value = complex(value)
-        if value == 0:
-            raise ValueError("use SpectralValue.zero for exact zeros")
-        return cls(0, cmath.log(value))
-
-    @classmethod
-    def one(cls):
-        return cls(0, 0.0 + 0.0j)
-
-    @classmethod
-    def pole(cls, order, log_coeff=0.0 + 0.0j):
-        if order <= 0:
-            raise ValueError("pole order must be positive")
-        return cls(order, complex(log_coeff))
-
-    @classmethod
-    def zero(cls, order, log_coeff=0.0 + 0.0j):
-        if order <= 0:
-            raise ValueError("zero order must be positive")
-        return cls(-order, complex(log_coeff))
-
-    @property
-    def tag(self):
-        if self.laurent_order > 0:
-            return "pole"
-        if self.laurent_order < 0:
-            return "zero"
-        return "finite"
-
     @property
     def is_finite(self):
         return self.laurent_order == 0
@@ -269,14 +239,6 @@ class SpectralValue(_Laurent):
     @property
     def _columns(self):
         return self.laurent_order, self.log_coeff
-
-    def to_json(self):
-        if self.is_pole:
-            return {"tag": "pole", "order": self.order}
-        if self.is_zero:
-            return {"tag": "zero", "order": self.order}
-        v = self.value
-        return {"tag": "finite", "re": v.real, "im": v.imag}
 
     def __str__(self):
         if self.is_pole:
@@ -344,7 +306,7 @@ def _gamma(z, slope=1.0, power=1, residual=None):
     slope, so the leading Laurent coefficient in lambda stays exact and
     removable singularities of a product cancel correctly.
     """
-    pole, lg = log_gamma(z, residual, np.log(np.asarray(slope, dtype=complex)))
+    pole, lg = log_gamma(z, np.log(np.asarray(slope, dtype=complex)), residual)
     power = np.asarray(power)
     return _spectral(power * pole, np.multiply(power, lg, order="C"))
 
@@ -402,20 +364,6 @@ def enumerate_ktypes(sig, max_degree):
         out.extend(extra)
     out.sort(key=lambda t: (sum(abs(x) for x in t), tuple(-x for x in t)))
     return [KType(t) for t in out]
-
-
-def neighbors(sig, mu):
-    """The adjacent K-types {mu +/- 2 e_j} that stay inside the lattice."""
-    mu = ktype(sig, mu)
-    found = []
-    for j in range(sig.p):
-        for step in (2, -2):
-            cand = list(mu.m)
-            cand[j] += step
-            cand = tuple(cand)
-            if _is_dominant(sig, cand) and cand not in found:
-                found.append(cand)
-    return [KType(t) for t in found]
 
 
 def rho_k(sig):

@@ -167,14 +167,14 @@ def sphere_grid(n, order):
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return SphereGrid(1, pts, np.full(nphi, 1.0 / nphi), nphi)
     if n == 2:
-        rule = gauss_legendre(order)
+        nodes, weights = gauss_legendre(order)
         phi = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
-        z = np.repeat(rule.nodes, nphi)
+        z = np.repeat(nodes, nphi)
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         cp = np.tile(np.cos(phi), order)
         sp = np.tile(np.sin(phi), order)
         pts = np.stack([s * cp, s * sp, z], axis=1)
-        w = np.repeat(rule.weights / 2.0, nphi) / nphi
+        w = np.repeat(weights / 2.0, nphi) / nphi
         return SphereGrid(2, pts, w, nphi)
     raise ValueError("only S^1 and S^2 grids are supported")
 
@@ -280,8 +280,10 @@ def _graded_rule(order=24, depth=42):
     left = [0.5 ** k for k in range(depth, 0, -1)]
     right = [1.0 - 0.5 ** k for k in range(2, depth + 1)]
     breaks = np.concatenate(([0.0], left, right, [1.0]))
-    nodes, weights = gauss_legendre(order).mapped(breaks[:-1, None], breaks[1:, None])
-    return nodes.ravel(), weights.ravel()
+    nodes, weights = gauss_legendre(order)
+    a, b = breaks[:-1, None], breaks[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * nodes).ravel(), (half * weights).ravel()
 
 
 _FH_NODES, _FH_WEIGHTS = _graded_rule()

@@ -523,7 +523,7 @@ class TestParserAndLimits:
         assert {row["cp"]["tag"] for row in rows} == {"pole", "finite"}
         for row in rows:
             lam = complex(row["lambda"]["re"], row["lambda"]["im"])
-            assert row["cp"] == c_p(sig, lam).to_json()
+            assert row["cp"] == sv_json(c_p(sig, lam))
 
 
 class TestVerifyLimits:
@@ -612,6 +612,16 @@ class TestFactorHits:
             assert rows  # the weight factor crosses at lambda = rho for every mu
 
 
+def sv_json(v):
+    """The JSON cell of one SpectralValue, from its public members."""
+    if v.is_pole:
+        return {"tag": "pole", "order": v.order}
+    if v.is_zero:
+        return {"tag": "zero", "order": v.order}
+    value = v.value
+    return {"tag": "finite", "re": value.real, "im": value.imag}
+
+
 def sv_csv(sv):
     if sv is None:
         return ["", "", "", ""]
@@ -622,14 +632,14 @@ def sv_csv(sv):
 
 def reference_report(argv):
     """The report of a spectrum/cp/poles call built the long way: a dict
-    per row, each cell a scalar call through SpectralValue.to_json, and the
+    per row, each cell a scalar call through sv_json, and the
     whole written by json.dumps or csv.writer."""
     cfg = cli._config_from_args(cli._build_parser().parse_args(cli._glue_signed_values(argv)))
     sig = cfg.signature()
     if cfg.command == "spectrum":
         rows = [{"mu": list(mu.m), "degree": mu.degree, "omega": omega(sig, mu),
-                 "eta": eta(sig, mu, cfg.lam).to_json(),
-                 "nu": nu(sig, mu, cfg.lam).to_json() if sig.split_rank_equal else None}
+                 "eta": sv_json(eta(sig, mu, cfg.lam)),
+                 "nu": sv_json(nu(sig, mu, cfg.lam)) if sig.split_rank_equal else None}
                 for mu in enumerate_ktypes(sig, cfg.max_degree)]
         header = ["mu", "degree", "omega", "eta_tag", "eta_re", "eta_im", "eta_order",
                   "nu_tag", "nu_re", "nu_im", "nu_order"]
@@ -639,14 +649,14 @@ def reference_report(argv):
         start, stop, count = cfg.lam_grid or (cfg.lam.real, cfg.lam.real, 1)
         step = (stop - start) / (count - 1) if count > 1 else 0.0
         lams = [complex(start + i * step, cfg.lam.imag) for i in range(count)]
-        rows = [{"lambda": {"re": lam.real, "im": lam.imag}, "cp": c_p(sig, lam).to_json()}
+        rows = [{"lambda": {"re": lam.real, "im": lam.imag}, "cp": sv_json(c_p(sig, lam))}
                 for lam in lams]
         header = ["lambda_re", "lambda_im", "cp_tag", "cp_re", "cp_im", "cp_order"]
         cells = [[repr(r["lambda"]["re"]), repr(r["lambda"]["im"]), *sv_csv(r["cp"])]
                  for r in rows]
     else:
         mu = ktype(sig, cfg.mu or (0,) * sig.p)
-        rows = [{**hit, "eta": eta(sig, mu, hit["lambda_re"]).to_json()}
+        rows = [{**hit, "eta": sv_json(eta(sig, mu, hit["lambda_re"]))}
                 for hit in reference_hits(sig, mu, cfg.re_min, cfg.re_max)]
         header = ["lambda_re", "factor", "side", "j", "k",
                   "eta_tag", "eta_re", "eta_im", "eta_order"]

@@ -9,12 +9,10 @@ from coslam.geometry import (
     alpha_p,
     base_point,
     cos_angle,
-    frame_of,
     group_compose,
     group_inverse,
     haar_batch,
     haar_sample,
-    perp,
     quat_embed,
     quat_parts,
     quat_structure_error,
@@ -29,6 +27,13 @@ ALL_FIELDS = [R, C, H]
 
 def sig(n, p, field):
     return GrassmannSignature(n, p, field)
+
+
+def quarter_turn(s):
+    """The exact quarter turn in the (j, q+j) planes, for p = q."""
+    u = 2 if s.field is H else 1
+    eye, zero = np.eye(u * s.p), np.zeros((u * s.p, u * s.p))
+    return GroupElement(s, np.block([[zero, -eye], [eye, zero]]))
 
 
 def quat_real_realization(alpha, beta):
@@ -114,6 +119,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="frame entries must be finite"):
             FramePoint(s, frame)
 
+    @pytest.mark.parametrize("field,huge", [(R, 1e200), (R, 1.7e308), (C, 1e200 + 1e200j),
+                                            (C, 1.7e308), (H, 1e200), (H, 1e200 + 1e200j)])
+    def test_huge_finite_entries_rejected(self, field, huge):
+        # The Gram product and the determinant overflow: ValueError, not a numpy warning.
+        s = sig(2, 1, field)
+        column = np.array([[huge], [0.0], [0.0]])
+        diag = np.diag([huge, huge, 1.0])
+        if field is H:
+            column, diag = quat_embed(column, 0 * column), quat_embed(diag, 0 * diag)
+        with pytest.raises(ValueError, match="frame columns are not orthonormal"):
+            FramePoint(s, column)
+        with pytest.raises(ValueError, match="matrix is not special"):
+            GroupElement(s, diag)
+
     @pytest.mark.parametrize("field", ALL_FIELDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_angles_rejected(self, field, bad):
@@ -156,8 +175,10 @@ class TestCosAngle:
     def test_perpendicular_frames(self, rng):
         for field in ALL_FIELDS:
             s = sig(3, 2, field)
-            b = act(haar_sample(s, rng), base_point(s))
-            assert cos_angle(b, perp(b)) < 1e-12
+            bo, w = base_point(s), quarter_turn(s)
+            for _ in range(10):
+                k = haar_sample(s, rng)
+                assert cos_angle(act(k, bo), act(k, act(w, bo))) < 1e-12
 
     def test_circle_case(self):
         s = sig(1, 1, R)
@@ -193,30 +214,15 @@ class TestCosAngle:
             cos_angle(b, c)
 
 
-class TestPerp:
+class TestComplement:
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_base_point_complement(self, field):
         s = sig(3, 2, field)
-        bo = base_point(s)
-        w = torus_point(s, np.full(s.p, np.pi / 2.0))
-        assert abs(cos_angle(perp(bo), act(w, bo)) - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("field", ALL_FIELDS)
-    def test_involution(self, field, rng):
-        s = sig(3, 2, field)
-        b = act(haar_sample(s, rng), base_point(s))
-        assert abs(cos_angle(perp(perp(b)), b) - 1.0) < 1e-12
-
-    def test_circle_rotation(self):
-        s = sig(1, 1, R)
-        theta = 0.7
-        b = FramePoint(s, np.array([[np.cos(theta)], [np.sin(theta)]]))
-        target = FramePoint(s, np.array([[-np.sin(theta)], [np.cos(theta)]]))
-        assert abs(cos_angle(perp(b), target) - 1.0) < 1e-12
-
-    def test_requires_split_rank(self):
-        with pytest.raises(ValueError):
-            perp(base_point(sig(4, 2, R)))
+        u = 2 if field is H else 1
+        complement = FramePoint(s, np.eye(u * (s.n + 1))[:, u * s.p:])
+        moved = act(torus_point(s, np.full(s.p, np.pi / 2.0)), base_point(s))
+        assert np.abs(moved.frame - complement.frame).max() < 1e-15
+        assert abs(cos_angle(complement, moved) - 1.0) < 1e-12
 
 
 class TestTorus:
@@ -302,4 +308,4 @@ class TestHaar:
         s = sig(2, 1, C)
         g = haar_sample(s, rng)
         assert isinstance(g, GroupElement)
-        assert isinstance(frame_of(g), FramePoint)
+        assert isinstance(act(g, base_point(s)), FramePoint)

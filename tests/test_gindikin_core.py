@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coslam import spectral
-from coslam.scalar import GammaPole, log_gamma
+from coslam.scalar import log_gamma
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, enumerate_ktypes, eta, nu
 from coslam.verify import all_signatures
 
@@ -90,8 +90,8 @@ class TestArrayEqualsScalar:
             assert values.shape == grid.shape
             for lam, v in zip(grid, values):
                 assert v == c_p(s, lam), (s, lam)
-        tags = {v.tag for v in c_p(s, REAL_GRID)}
-        assert "pole" in tags and "finite" in tags
+        signs = {np.sign(v.laurent_order) for v in c_p(s, REAL_GRID)}
+        assert 1 in signs and 0 in signs
 
     @pytest.mark.parametrize("s", IDENTITY_SIGS, ids=GrassmannSignature.label)
     def test_eta_and_nu_over_ktypes(self, s):
@@ -101,15 +101,15 @@ class TestArrayEqualsScalar:
         for fn in kinds:
             table = fn(s, mus, lams)
             assert table.shape == (len(mus), len(lams))
-            tags = set()
+            signs = set()
             for mu, row in zip(mus, table):
                 for lam, v in zip(lams, row):
                     assert v == fn(s, mu, lam), (fn.__name__, s, mu, lam)
-                    tags.add(v.tag)
+                    signs.add(np.sign(v.laurent_order))
                 # one K-type over the lambdas, and all K-types at one lambda
                 assert list(fn(s, mu, lams)) == list(row)
             assert list(fn(s, mus, lams[3])) == list(table[:, 3])
-            assert {"pole", "zero", "finite"} <= tags
+            assert {1, -1, 0} <= signs
 
     def test_scalar_calls_return_one_value(self):
         s = sig(3, 2, C)
@@ -158,19 +158,18 @@ class TestLogGammaArrays:
                       40.0 + 49.0j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = log_gamma(z)
+            pole, out = log_gamma(z, 0.0)
+        assert not pole.any()
         for zi, oi in zip(z, out):
-            assert oi == log_gamma(zi)
+            assert oi == log_gamma(zi, 0.0)[1]
 
-    def test_poles_raise_or_are_marked(self):
+    def test_poles_are_marked(self):
         z = np.array([1.5, -3.0, 0.0 + 2e-15j])
-        with pytest.raises(GammaPole):
-            log_gamma(z)
-        pole, out = log_gamma(z, log_slope=np.log(0.5 + 0j))
+        pole, out = log_gamma(z, np.log(0.5 + 0j))
         assert pole.tolist() == [False, True, True]
         # Gamma(z(lambda)) with z' = 1/2 at the pole -3: residue -1/6 over 1/2
         assert abs(np.exp(out[1]) + 1.0 / 3.0) < 1e-15 and abs(np.exp(out[2]) - 2.0) < 1e-15
-        assert out[0] == log_gamma(1.5)
+        assert out[0] == log_gamma(1.5, 0.0)[1]
 
     @pytest.mark.parametrize("k", [0, 1, 3, 9])
     @pytest.mark.parametrize("dist", [3e-4, 2e-9, 7e-13])
@@ -179,7 +178,7 @@ class TestLogGammaArrays:
         x = mp.mpf(-k) + mp.mpf(dist) + mp.mpf("1.3e-17")
         z = float(x)
         residual = float(x - z)
-        got = log_gamma(z, residual)
+        got = complex(log_gamma(z, 0.0, residual)[1])
         with mp.workdps(50):
             err = abs(mp.exp(mp.mpc(got) - mp.loggamma(x)) - 1)
         assert err < 1e-14
@@ -262,14 +261,14 @@ class TestSpectralArray:
         values = eta(sig(4, 2, C), (2, 0), [])
         assert values.shape == (0,) and len(values) == 0 and list(values) == []
         assert (values == values).shape == (0,)
-        assert values.prod() == spectral.SpectralValue.one()
+        assert values.prod() == spectral.SpectralValue(0, 0j)
 
     def test_empty_ktype_axis(self):
         values = eta(sig(4, 2, C), [], [1.0, 2.0])
         assert values.shape == (0, 2) and len(values) == 0 and list(values) == []
         assert values.order.shape == values.log.shape == (0, 2)
         assert (values == values).shape == (0, 2)
-        assert values.prod() == spectral.SpectralValue.one()
+        assert values.prod() == spectral.SpectralValue(0, 0j)
 
     def test_cells_rows_and_columns(self):
         s = sig(3, 2, R)
@@ -302,7 +301,7 @@ class TestSpectralArray:
         rows = a.prod(axis=1)
         assert rows.shape == (2,) and list(rows) == [a[0].prod(), a[1].prod()]
         assert a.prod(axis=0).shape == (3,) and (a.prod(axis=-1) == rows).all()
-        one = spectral.SpectralValue.one()
+        one = spectral.SpectralValue(0, 0j)
         assert list(eta(s, [], [1.0, 2.0]).prod(axis=0)) == [one, one]
 
     def test_orders_cancel_in_a_quotient(self):
@@ -312,15 +311,15 @@ class TestSpectralArray:
         ratio = (g[:1] / g[1:]).prod()
         assert ratio.is_finite and abs(ratio.value + 1.0) < 1e-15
         zero = spectral._linear([0.0, 2.0], 0.5)
-        assert zero[0] == spectral.SpectralValue.zero(1, np.log(0.5))
-        assert zero[1] == spectral.SpectralValue.finite(2.0)
+        assert zero[0] == spectral.SpectralValue(-1, np.log(0.5))
+        assert zero[1] == spectral.SpectralValue(0, np.log(2.0))
 
     def test_value_and_array_combine_cell_by_cell(self):
         s = sig(5, 2, H)
         lams = np.array([[1.25 + 0.5j, -2.0, 0.5], [3.5, 0.75 - 1.0j, s.rho]])
         values = eta(s, (2, 0), lams)
-        scalars = (c_p(s, 2.0 + 0.5j), spectral.SpectralValue.pole(2, np.log(3.0)),
-                   spectral.SpectralValue.zero(1, -1.0j))
+        scalars = (c_p(s, 2.0 + 0.5j), spectral.SpectralValue(2, np.log(3.0)),
+                   spectral.SpectralValue(-1, -1.0j))
         for v in scalars:
             for got, cell in ((v * values, lambda x: v * x), (values * v, lambda x: x * v),
                               (v / values, lambda x: v / x), (values / v, lambda x: x / v)):

@@ -15,7 +15,6 @@ from coslam.spectral import (
     eta_step_ratio,
     gindikin_gamma,
     ktype,
-    neighbors,
     nu,
     omega,
     rho_k,
@@ -124,34 +123,6 @@ class TestLattice:
     def test_enumerate_real_circle(self):
         types = [k.m for k in enumerate_ktypes(sig(1, 1, R), 4)]
         assert types == [(0,), (2,), (-2,), (4,), (-4,)]
-
-    def test_neighbors_of_zero(self):
-        assert [k.m for k in neighbors(sig(4, 2, C), (0, 0))] == [(2, 0)]
-        assert sorted(k.m for k in neighbors(sig(1, 1, R), (0,))) == [(-2,), (0 + 2,)]
-
-    def test_neighbors_rank_two(self):
-        assert [k.m for k in neighbors(sig(4, 2, R), (2, 0))] == [(4, 0), (0, 0), (2, 2)]
-
-    def test_neighbors_real_split_case(self):
-        got = {k.m for k in neighbors(sig(3, 2, R), (2, 2))}
-        assert got == {(4, 2), (2, 0)}  # (2,4) and (0,2) fail dominance; (2,-2) is two steps away
-
-    def test_neighbors_brute_force_filter(self, rng):
-        # oracle: build mu +/- 2e_j by hand and filter with the lattice predicate
-        for s in all_signatures(5):
-            pool = enumerate_ktypes(s, 8)
-            for mu in (pool[rng.integers(len(pool))] for _ in range(5)):
-                cand = []
-                for j in range(s.p):
-                    for step in (2, -2):
-                        t = list(mu.m)
-                        t[j] += step
-                        try:
-                            cand.append(ktype(s, t).m)
-                        except ValueError:
-                            pass
-                expected = list(dict.fromkeys(cand))
-                assert sorted(k.m for k in neighbors(s, mu)) == sorted(expected)
 
 
 def rho_k_from_roots(s):
@@ -461,12 +432,8 @@ class TestSphereEta:
         for n in (2, 3, 4):
             rho = (n + 1) / 2.0
             for lam in generic_lambdas(rng, 5):
-                expected = cmath.exp(
-                    log_gamma(rho)
-                    - log_gamma(0.5)
-                    + log_gamma((lam - rho + 1) / 2.0)
-                    - log_gamma((lam + rho) / 2.0)
-                )
+                _, lg = log_gamma([rho, 0.5, (lam - rho + 1) / 2.0, (lam + rho) / 2.0], 0.0)
+                expected = cmath.exp(lg[0] - lg[1] + lg[2] - lg[3])
                 assert rel_err(sphere_eta(n, 0, lam).value, expected) < 1e-13
 
     def test_zero_at_rho_for_degree_two(self):
@@ -484,29 +451,29 @@ class TestSphereEta:
 
 class TestSpectralValue:
     def test_product_order_arithmetic(self):
-        pole = SpectralValue.pole(2)
-        zero = SpectralValue.zero(1)
+        pole = SpectralValue(2, 0j)
+        zero = SpectralValue(-1, 0j)
         assert (pole * zero).is_pole and (pole * zero).order == 1
         assert (pole * zero * zero).is_finite
         assert (zero / pole).is_zero and (zero / pole).order == 3
 
     def test_cancellation_keeps_coefficient(self):
-        a = SpectralValue.pole(1, log_coeff=np.log(2.0))
-        b = SpectralValue.pole(1, log_coeff=np.log(4.0))
+        a = SpectralValue(1, np.log(2.0))
+        b = SpectralValue(1, np.log(4.0))
         assert rel_err((a / b).value, 0.5) < 1e-14
 
     def test_finite_round_trip(self):
-        v = SpectralValue.finite(-3.25 + 0.5j)
+        v = SpectralValue(0, np.log(-3.25 + 0.5j))
         assert rel_err(v.value, -3.25 + 0.5j) < 1e-15
-        assert v.to_json()["tag"] == "finite"
-        assert SpectralValue.pole(3).to_json() == {"tag": "pole", "order": 3}
-        assert SpectralValue.zero(2).to_json() == {"tag": "zero", "order": 2}
+        assert str(v) == str(v.value)
+        assert str(SpectralValue(3, 0j)) == "pole(order=3)"
+        assert str(SpectralValue(-2, 0j)) == "zero(order=2)"
 
     def test_value_of_pole_raises(self):
         with pytest.raises(ValueError):
-            SpectralValue.pole(1).value
+            SpectralValue(1, 0j).value
         with pytest.raises(ValueError):
-            SpectralValue.finite(0.0)
+            SpectralValue(0, 0j).order
 
 
 class TestNearHyperplane:
