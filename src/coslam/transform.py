@@ -28,26 +28,27 @@ to about 1e-16 when Re(lambda) - rho >= 1.  The default azimuths = 1 claims
 no symmetry, and the same code is then the dense sum.
 
 Monte Carlo estimators: every integrand reads only the first p columns
-k.b_o of a Haar sample k, which are distributed as the Gram-Schmidt frame of
-an (n+1) x p Gaussian frame G (the first p columns of the Ginibre matrix
+k.b_o of a Haar sample k, which are distributed as the Gram-Schmidt frame Q
+of an (n+1) x p Gaussian frame G (the first p columns of the Ginibre matrix
 behind geometry.haar_batch).  So the estimators draw only G
 (geometry.frame_batch: one standard_normal call per batch, laid out samples
-last) and run one batched Gram-Schmidt over its p field columns, each step
-a vector operation over the whole batch.  With Q the resulting orthonormal
-frame,
+last).  With G = Q R, B the p block rows of G and H the Gram matrix of its
+top p rows,
 
-    alpha_p(k) = prod GS-norms(G_rows) / prod GS-norms(G),
-    |k_top|_F^2 = |Q_top|_F^2,
+    alpha_p(k) = |det_K Q_B| = |det_K B| / sqrt(det G* G),
+    |k_top|_F^2 = |Q_top|_F^2 = tr((G* G)^-1 H),
 
-which is exact for the Haar sample whose first p columns are Q: a product
-of Gram-Schmidt norms of a square matrix is its |det_K|, and for G = Q R it
-is |det_K R| on the whole frame, so the ratio is |det_K Q_rows|.  Each
-estimate therefore equals the one computed from full Haar matrices built
-from G (completed by any further Gaussian columns) to rounding, without the
-(n+1) x (n+1) QR and without drawing the n+1-p columns it would discard.  A
-quaternionic column stays a pair of complex columns a + b j; its inner
-product and right scalar multiple are written out in a and b, so nothing
-builds the 2 x 2 complex realization.
+which is exact for the Haar sample whose first p columns are Q.  For p <= 2
+both come from 2 x 2 field Gram entries and |det_K B| taken directly (see
+_frame_integrands); at mu = 0 only alpha_p is computed.  For p >= 3 one
+batched Gram-Schmidt over the p field columns gives Q and alpha_p as a
+ratio of products of Gram-Schmidt norms.  Each estimate therefore equals
+the one computed from full Haar matrices built from G (completed by any
+further Gaussian columns) to rounding, without the (n+1) x (n+1) QR and
+without drawing the n+1-p columns it would discard.  A quaternionic column
+stays a pair of complex columns a + b j; its inner product and right scalar
+multiple are written out in a and b, so nothing builds the 2 x 2 complex
+realization.
 
 Monte Carlo error model: plain sample standard error; the integrands are
 bounded on the convergence region so the CLT applies.  A master seed is split
@@ -78,7 +79,7 @@ from scipy.special import roots_jacobi
 # haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
 from .geometry import _dtype, _units, frame_batch, haar_batch  # noqa: F401
 from .scalar import gauss_legendre, gegenbauer
-from .spectral import _gamma, ktype
+from .spectral import FieldTag, _gamma, ktype
 
 __all__ = [
     "ConvergenceError",
@@ -438,10 +439,16 @@ def _scale(q, s):
     return np.einsum("xms,xys->yms", q, mat)
 
 
+def _re_inner(x, y):
+    # Re <x, y> per sample: the real inner product of the real components,
+    # summed over every axis but the last (the samples)
+    x, y = (v.reshape(-1, v.shape[-1]) for v in (x, y))
+    return np.einsum("ks,ks->s", x.conj(), y).real
+
+
 def _sqnorm(x):
     # sum of |x|^2 over every axis but the last (the samples)
-    x = x.reshape(-1, x.shape[-1])
-    return np.einsum("ks,ks->s", x.conj(), x).real
+    return _re_inner(x, x)
 
 
 def _gram_schmidt(frames):
@@ -465,24 +472,70 @@ def _gram_schmidt(frames):
     return q, norms
 
 
-def _frame_integrands(sig, frames, block):
+def _abs_det2(field, rows):
+    # |det_K B| per sample of the 2 x 2 field blocks B[r, j] = rows[j, :, r].
+    # Taken directly, not as det(B* B), whose cancellation near a singular
+    # B costs digits.  Over H a Schur complement, |det| = |a| |d - c a^-1 b|
+    # = | |a|^2 d - c conj(a) b | / |a|, with the rows swapped where
+    # |c| > |a|, so an exact zero in the corner never divides.
+    (a, c), (b, d) = rows.transpose(0, 2, 1, 3)
+    if field is FieldTag.REAL:
+        return np.abs(a[0] * d[0] - b[0] * c[0])
+    if field is FieldTag.COMPLEX:
+        a, b, c, d = a[0], b[0], c[0], d[0]
+        re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+        im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+        return np.hypot(re, im)
+    aa, cc = _sqnorm(a), _sqnorm(c)
+    (a, c), (b, d) = np.where(cc > aa, rows[:, :, ::-1], rows).transpose(0, 2, 1, 3)
+    aa = np.maximum(aa, cc)
+    cab = _scale(c[:, None], _inner(a[:, None], b[:, None]))[:, 0]
+    return np.sqrt(_sqnorm(d * aa - cab) / aa)
+
+
+def _frame_integrands(sig, frames, block, test=True):
     """alpha_p and the K-type test value of the Haar samples behind frames.
 
     `block` picks the p rows whose |det_K| is alpha_p: 0 for the top block,
     1 for the rows below it.  With Q the Gram-Schmidt frame of G, i.e. the
-    first p columns of the Haar sample,
+    first p columns of the Haar sample, G = Q R and the Gram matrix
+    G* G = R* R, so with B the block rows of G
 
-        alpha_p = prod GS-norms(G_block) / prod GS-norms(G),
+        alpha_p = |det_K Q_block| = |det_K B| / sqrt(det G* G),
 
     and the test value is the zonal degree-2 invariant spanning the first
     nontrivial K-type: the trace of the product of the projections onto
     h.b_o and the base point, centered at its Haar mean p^2/(n+1), i.e.
-    |Q_top|_F^2 - p^2/(n+1).
+    |Q_top|_F^2 - p^2/(n+1) with |Q_top|_F^2 = tr((G* G)^-1 H), H the Gram
+    matrix of the top p rows.
+
+    For p <= 2 both come from the Gram entries g11, g22, g12 of G* G and
+    h11, h22, h12 of H: det G* G = g11 g22 - |g12|^2 over R, C and H alike
+    (Moore), and tr((G* G)^-1 H) = (g22 h11 + g11 h22 - 2 Re <g12, h12>) /
+    det G* G.  No elementwise complex-by-complex product is formed, only
+    real ones, real scalings and einsums, so a sample's value does not
+    depend on how many samples share the call.  For p >= 3 alpha_p is the
+    ratio of products of Gram-Schmidt norms and Q gives |Q_top|_F^2.  With
+    test=False the test value is None and is not computed.
     """
     p = sig.p
-    q, norms = _gram_schmidt(frames)
-    alpha = _gram_schmidt(frames[:, :, block * p: (block + 1) * p])[1] / norms
-    return alpha, _sqnorm(q[:, :, :p]) - p ** 2 / (sig.n + 1.0)
+    mean = p ** 2 / (sig.n + 1.0)
+    rows, top = frames[:, :, block * p: (block + 1) * p], frames[:, :, :p]
+    if p > 2:
+        q, norms = _gram_schmidt(frames)
+        alpha = _gram_schmidt(rows)[1] / norms
+        return alpha, _sqnorm(q[:, :, :p]) - mean if test else None
+    g11 = _sqnorm(frames[0])
+    if p == 1:
+        alpha = np.sqrt(_sqnorm(rows)) / np.sqrt(g11)
+        return alpha, _sqnorm(top) / g11 - mean if test else None
+    g22, g12 = _sqnorm(frames[1]), _inner(frames[0], frames[1])
+    det = g11 * g22 - _sqnorm(g12)
+    alpha = _abs_det2(sig.field, rows) / np.sqrt(det)
+    if not test:
+        return alpha, None
+    h11, h22, h12 = _sqnorm(top[0]), _sqnorm(top[1]), _inner(top[0], top[1])
+    return alpha, (g22 * h11 + g11 * h22 - 2.0 * _re_inner(g12, h12)) / det - mean
 
 
 def _mc_eigenvalue(sig, lam, mu, samples, seed, workers, block):
@@ -503,7 +556,7 @@ def _mc_eigenvalue(sig, lam, mu, samples, seed, workers, block):
     base = sig.p * sig.q / (sig.n + 1.0)
 
     def values(g):
-        alpha, test = _frame_integrands(sig, g, block)
+        alpha, test = _frame_integrands(sig, g, block, test=not mu.is_zero)
         kern = _kernel_pow(alpha, expo)
         return kern if mu.is_zero else kern * test / base
 

@@ -568,7 +568,7 @@ class TestFrameEstimator:
         return alpha(top), alpha(mats[:, pe: 2 * pe, :pe]), sumsq - s.p ** 2 / (s.n + 1.0)
 
     @pytest.mark.parametrize("field", [R, C, H])
-    @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1)])
+    @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1), (4, 2), (6, 2)])
     def test_integrands_match_haar_formulas(self, field, n, p):
         s = sig(n, p, field)
         frames = frame_batch(s, np.random.default_rng(31), self.COUNT)
@@ -633,27 +633,37 @@ class TestBatchedGramSchmidt:
         dets = np.abs(np.linalg.det(gram)) ** (0.25 if field is H else 0.5)
         assert np.abs(norms / dets - 1.0).max() < 1e-13
 
+    NEAR_SINGULAR = {
+        # [[1, 1], [1, 1 + 1e-8]]: det_K is fl(1 + 1e-8) - 1 exactly, in every field
+        "ones": ([[1.0, 1.0], [1.0, 1.0 + 1e-8]], (1.0 + 1e-8) - 1.0),
+        # [[0, 1], [1e-8, 1]]: an exact zero in the (0, 0) entry, |det_K| = 1e-8
+        "zero-corner": ([[0.0, 1.0], [1e-8, 1.0]], 1e-8),
+    }
+
     @pytest.mark.parametrize("field", [R, C, H])
-    def test_near_singular_top_block(self, field):
-        # top block [[1, 1], [1, 1 + 1e-8]]: det_K is fl(1 + 1e-8) - 1
-        # exactly, in every field; the rows below are Gaussian.
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("layout", sorted(NEAR_SINGULAR))
+    def test_near_singular_top_block(self, field, block, layout):
+        # The p x p block at `block` (the top rows, or the rows below them
+        # for the sine transform) is a fixed near-singular real matrix B,
+        # B[r, j] in row r of column j; every other row is Gaussian.
         s = sig(3, 2, field)
         count = 64
+        entries, det_block = self.NEAR_SINGULAR[layout]
+        rows = slice(2 * block, 2 * block + 2)
         frames = frame_batch(s, np.random.default_rng(5), count)
-        frames[:, :, :2] = 0.0
-        frames[:, 0, :2] = 1.0
-        frames[1, 0, 1] += 1e-8
-        det_top = (1.0 + 1e-8) - 1.0
+        frames[:, :, rows] = 0.0
+        frames[:, 0, rows] = np.asarray(entries).T[:, :, None]
         real = self.realize(frames)
         gram = real.conj().transpose(0, 2, 1) @ real
         root = np.abs(np.linalg.det(gram)) ** (0.25 if field is H else 0.5)
-        alpha, test = _frame_integrands(s, frames, 0)
-        assert np.abs(alpha - det_top / root).max() < 1e-12
-        assert np.abs(alpha * root / det_top - 1.0).max() < 1e-6
+        alpha, test = _frame_integrands(s, frames, block)
+        assert np.abs(alpha - det_block / root).max() < 1e-12
+        assert np.abs(alpha * root / det_block - 1.0).max() < 1e-6
         # the second sweep keeps even the near-singular block orthonormal
-        q_top = self.realize(_gram_schmidt(frames[:, :, :2])[0])
-        eye = np.eye(q_top.shape[-1])
-        assert np.abs(q_top.conj().transpose(0, 2, 1) @ q_top - eye).max() < 1e-14
+        q_block = self.realize(_gram_schmidt(frames[:, :, rows])[0])
+        eye = np.eye(q_block.shape[-1])
+        assert np.abs(q_block.conj().transpose(0, 2, 1) @ q_block - eye).max() < 1e-14
         top = real[:, :real.shape[-1]]  # the top p field rows
         sumsq = np.einsum("bij,bji->b", top, np.linalg.solve(gram, top.conj().transpose(0, 2, 1)))
         sumsq = sumsq.real * (0.5 if field is H else 1.0)
@@ -751,8 +761,10 @@ class TestConcurrentStreams:
 
     CASES = [
         ("c_p", 2, 1, R, (0,)),
+        ("c_p", 3, 2, C, (0, 0)),
         ("c_p", 3, 2, H, (0, 0)),
         ("ktype", 3, 2, C, (2, 0)),
+        ("ktype", 3, 2, H, (2, 0)),
         ("sin", 3, 2, R, (2, 0)),
         ("sin", 3, 2, H, (0, 0)),
     ]
