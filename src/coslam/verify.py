@@ -143,7 +143,8 @@ def run_quadrature(seed, samples=None, workers=1, grid_order=None, tol=1e-4):
 def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
                  pairs=60, torus_points=1):
     """Angle = cocycle on `pairs` Haar pairs per field (gate `tol`), gated on
-    the inverse and torus identities (gate 1e-12).
+    the inverse and torus identities (gate 1e-12).  Each field's 2 * `pairs`
+    samples come from one haar_batch draw, each checked as a GroupElement.
 
     The errors are rounding noise far below the gates, so `measured` is the
     worst angle error rounded up to the row's gate: a passing row reads its
@@ -154,9 +155,9 @@ def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
     for field in FieldTag:
         sig = GrassmannSignature(3, 2, field)
         bo = geometry.base_point(sig)
-        for _ in range(pairs):
-            k = geometry.haar_sample(sig, rng)
-            h = geometry.haar_sample(sig, rng)
+        mats = geometry.haar_batch(sig, rng, 2 * pairs)
+        for kmat, hmat in zip(mats[0::2], mats[1::2]):
+            k, h = geometry.GroupElement(sig, kmat), geometry.GroupElement(sig, hmat)
             ca = geometry.cos_angle(geometry.act(k, bo), geometry.act(h, bo))
             al = geometry.alpha_p(sig, geometry.group_compose(geometry.group_inverse(h), k))
             angle.append(abs(ca - al))
