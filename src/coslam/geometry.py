@@ -11,6 +11,12 @@ This keeps sub-blocks of quaternionic matrices contiguous in the realization
 and turns quaternionic linear algebra into complex linear algebra, with
 |det_R M| = |det_C(realization)|^2.
 
+GroupElement and FramePoint hold a stack of matrices or frames over any
+leading axes (one element is a stack of shape ()), validated as a whole, and
+act, group_compose, group_inverse, alpha_p and cos_angle work on each
+element of a stack: numpy runs the same LAPACK routine on each matrix, so a
+stacked call equals its per-element calls bit for bit.
+
 All sampling takes an explicit numpy Generator; nothing touches global RNG
 state, so independent streams can run concurrently.
 """
@@ -95,7 +101,8 @@ def _require_finite(values, what):  # before numpy warns on them
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An isometry of K^(n+1), stored as the realization of its matrix."""
+    """An isometry of K^(n+1), stored as the realization of its matrix, or
+    a stack of them over leading axes."""
 
     sig: GrassmannSignature
     mat: np.ndarray
@@ -105,19 +112,21 @@ class GroupElement:
         object.__setattr__(self, "mat", mat)
         u = _units(self.sig.field)
         size = u * (self.sig.n + 1)
-        if mat.shape != (size, size):
+        if mat.shape[-2:] != (size, size):
             raise ValueError(f"expected a {size}x{size} realization, got {mat.shape}")
         _require_finite(mat, "matrix entries")
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail the checks
             if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(mat) <= 1e-12:
                 raise ValueError("matrix does not have the quaternionic block structure")
-            if not abs(_abs_det_field(self.sig.field, mat) ** self.sig.d - 1.0) <= 1e-10:
+            dets = _abs_det_field(self.sig.field, mat) ** self.sig.d
+            if not (np.abs(dets - 1.0) <= 1e-10).all():
                 raise ValueError("matrix is not special: |det_R| != 1")
 
 
 @dataclass(frozen=True)
 class FramePoint:
-    """A point of the Grassmannian, given by an orthonormal p-frame."""
+    """A point of the Grassmannian, given by an orthonormal p-frame, or a
+    stack of them over leading axes."""
 
     sig: GrassmannSignature
     frame: np.ndarray
@@ -127,15 +136,25 @@ class FramePoint:
         object.__setattr__(self, "frame", frame)
         u = _units(self.sig.field)
         shape = (u * (self.sig.n + 1), u * self.sig.p)
-        if frame.shape != shape:
+        if frame.shape[-2:] != shape:
             raise ValueError(f"expected a {shape} frame, got {frame.shape}")
         _require_finite(frame, "frame entries")
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail the checks
-            gram = frame.conj().T @ frame
+            gram = _adjoint(frame) @ frame
             if not np.abs(gram - np.eye(shape[1])).max() <= 1e-10:
                 raise ValueError("frame columns are not orthonormal")
             if self.sig.field is FieldTag.QUATERNION and not quat_structure_error(frame) <= 1e-12:
                 raise ValueError("frame does not have the quaternionic block structure")
+
+
+def _adjoint(mats):
+    """The conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(mats.conj(), -1, -2)
+
+
+def _float_or_array(values):
+    """A float for one element (shape ()), else the array."""
+    return float(values) if values.ndim == 0 else values
 
 
 def base_point(sig):
@@ -163,26 +182,28 @@ def alpha_p(sig, g):
 
     alpha_p(g)^lambda = |det_R A|^(lambda/d); the returned base value is
     |det_R A|^(1/d).  Returns 0 when A is singular (g outside the open cell).
+    A float for one element, an array of the stack's shape for a stack.
     """
     u = _units(sig.field)
-    block = g.mat[: u * sig.p, : u * sig.p]
-    return float(_abs_det_field(sig.field, block))
+    block = g.mat[..., : u * sig.p, : u * sig.p]
+    return _float_or_array(_abs_det_field(sig.field, block))
 
 
 def cos_angle(b, c):
     """|Cos(b, c)|: the product of the cosines of the principal angles.
 
     Computed from the singular values of c* b, which is the realization of
-    the p x p field matrix pairing the two frames.  Always in [0, 1].
+    the p x p field matrix pairing the two frames.  Always in [0, 1].  A
+    float for two single frames, else an array of the broadcast stack shape.
     """
     if b.sig != c.sig:
         raise ValueError("frames live on different Grassmannians")
-    m = c.frame.conj().T @ b.frame
+    m = _adjoint(c.frame) @ b.frame
     s = np.linalg.svd(m, compute_uv=False)
-    val = float(np.prod(np.clip(s, 0.0, 1.0)))
+    val = np.prod(np.clip(s, 0.0, 1.0), axis=-1)
     if b.sig.field is FieldTag.QUATERNION:
         val = np.sqrt(val)
-    return min(val, 1.0)
+    return _float_or_array(np.minimum(val, 1.0))
 
 
 def torus_point(sig, t):

@@ -256,7 +256,7 @@ class SpectralArray(_Laurent):
     Indexing gives a SpectralValue for one cell and a SpectralArray
     otherwise; iteration runs over the first axis.  `==`, `*` and `/` go
     cell by cell against a SpectralArray or a SpectralValue (`==` gives a
-    bool array).
+    bool array), and `value` is the array of the cells' values.
     """
 
     order: np.ndarray
@@ -278,6 +278,22 @@ class SpectralArray(_Laurent):
     @property
     def _columns(self):
         return self.order, self.log
+
+    @property
+    def value(self):
+        """The complex values, each cell's SpectralValue.value bit for bit
+        (numpy's complex exp is cmath.exp): 0 at a zero marker, and an
+        error if any cell is a pole or too large for a double."""
+        if (self.order > 0).any():
+            raise ValueError("pole has no finite value")
+        finite = self.order == 0
+        out = np.zeros(self.shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            out[finite] = np.exp(self.log[finite])
+        if not np.isfinite(out).all():
+            raise OverflowError(f"|value| = exp({self.log.real[finite].max():.6g}) "
+                                "exceeds the double-precision range")
+        return out
 
     def __getitem__(self, index):
         return _spectral(self.order[index], self.log[index])
@@ -388,9 +404,14 @@ def omega(sig, mu):
     The sum runs left to right in j.
     """
     ms, single = _ktype_matrix(sig, mu)
-    terms = ms * ms + 2.0 * ms * np.array(rho_k(sig))
-    out = sig.p * sig.q / (2.0 * (sig.n + 1)) * np.add.accumulate(terms, axis=1)[:, -1]
+    out = _omega_rows(sig, ms)
     return float(out[0]) if single else out
+
+
+def _omega_rows(sig, ms):
+    """omega over the rows of a (k, p) matrix of valid K-types."""
+    terms = ms * ms + 2.0 * ms * np.array(rho_k(sig))
+    return sig.p * sig.q / (2.0 * (sig.n + 1)) * np.add.accumulate(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +538,26 @@ def eta_step_ratio(sig, mu, j, lam):
     return _linear(lam - shift, 1.0) / _linear(lam + shift, 1.0)
 
 
-def _monotone_path(mu):
-    """Lattice path 0 -> mu filling coordinates left to right in +/-2 steps."""
-    ends = [(0,) * len(mu.m)]
-    for j, mj in enumerate(mu.m):
-        for _ in range(abs(mj) // 2):
-            cur = ends[-1]
-            ends.append(cur[:j] + (cur[j] + (2 if mj > 0 else -2),) + cur[j + 1:])
-    return list(zip(ends, ends[1:]))
+def _monotone_ends(ms, steps):
+    """The K-types along the lattice paths 0 -> m filling coordinates left
+    to right in +/-2 steps, for rows m of ms of `steps` steps each: a
+    (rows, steps + 1, p) array.  After t steps coordinate j holds
+    clip(t - (steps before j), 0, |m_j|/2) of its steps."""
+    half = np.abs(ms) // 2
+    before = (np.cumsum(half, axis=1) - half)[:, None, :]
+    t = np.arange(steps + 1)[:, None]
+    return 2 * np.sign(ms)[:, None, :] * np.clip(t - before, 0, half[:, None, :])
+
+
+def _path_ends(sig, mu, path):
+    """The K-types along a custom path of (mu', sigma) pairs from 0 to mu,
+    validated, as a (1, len(path) + 1, p) array."""
+    path = [tuple(ktype(sig, t).m for t in step) for step in path]
+    ends = [(0,) * sig.p] + [nxt for _, nxt in path]
+    if ([cur for cur, _ in path] != ends[:-1] or ends[-1] != tuple(mu)
+            or any(sum(abs(a - b) for a, b in zip(*step)) != 2 for step in path)):
+        raise ValueError(f"path must run from 0 to {KType(mu)} in steps of +/-2 e_j")
+    return np.array(ends, dtype=int).reshape(1, len(ends), sig.p)
 
 
 def eta_by_recursion(sig, mu, lam, path=None):
@@ -538,24 +571,37 @@ def eta_by_recursion(sig, mu, lam, path=None):
     with r = lambda * pq/(n+1).  By default the steps follow the monotone
     path filling m_1 first, then m_2, etc.; any path of (mu', sigma) pairs
     from 0 to mu through valid K-types gives the same value, and any other
-    path raises ValueError.  lam may be an array: the result is then a
-    SpectralArray of its shape, each cell equal to its scalar call.
+    path raises ValueError.
+
+    mu may be a sequence of K-types (default paths only) and lam an array,
+    as for eta: the result is then a SpectralArray of shape (len(mu),) +
+    lam.shape (no first axis for one K-type), each cell equal to its scalar
+    call.  K-types whose paths have the same length run as one array.
     """
-    mu = ktype(sig, mu)
-    lam = np.asarray(lam, dtype=complex)
+    ms, single = _ktype_matrix(sig, mu)
+    steps = np.abs(ms).sum(axis=1) // 2
     if path is None:
-        path = _monotone_path(mu)
-    path = [tuple(ktype(sig, t).m for t in step) for step in path]
-    ends = [(0,) * sig.p] + [nxt for _, nxt in path]
-    if ([cur for cur, _ in path] != ends[:-1] or ends[-1] != mu.m
-            or any(sum(abs(a - b) for a, b in zip(*step)) != 2 for step in path)):
-        raise ValueError(f"path must run from 0 to {mu} in steps of +/-2 e_j")
-    dws = np.diff(omega(sig, ends))
+        groups = [(rows, _monotone_ends(ms[rows], length)) for length in np.unique(steps)
+                  for rows in [np.flatnonzero(steps == length)]]
+    elif single:
+        groups = [([0], _path_ends(sig, ms[0], path))]
+    else:
+        raise ValueError("a custom path needs a single K-type")
+    lam = np.asarray(lam, dtype=complex)
     scale = sig.p * sig.q / (sig.n + 1.0)
     # 2r; the steps go on the last axis, which every cell sums as a scalar call does
     r2 = 2.0 * lam[..., None] * scale
-    steps = _linear(r2 - dws, 2.0 * scale) / _linear(r2 + dws, 2.0 * scale)
-    return c_p(sig, lam) * steps.prod(axis=-1)
+    c = c_p(sig, lam)
+    order = np.empty((len(ms),) + lam.shape, dtype=int)
+    log = np.empty((len(ms),) + lam.shape, dtype=complex)
+    for rows, ends in groups:
+        k, length, p = ends.shape
+        dws = np.diff(_omega_rows(sig, ends.reshape(-1, p)).reshape(k, length), axis=1)
+        dws = dws.reshape((k,) + (1,) * lam.ndim + (length - 1,))
+        ratios = _linear(r2 - dws, 2.0 * scale) / _linear(r2 + dws, 2.0 * scale)
+        values = c * ratios.prod(axis=-1)
+        order[rows], log[rows] = values.order, values.log
+    return _spectral(order[0], log[0]) if single else _spectral(order, log)
 
 
 def nu(sig, mu, lam):

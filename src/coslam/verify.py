@@ -11,6 +11,14 @@ Every suite takes its coverage (signature range, degree, number of lambdas,
 samples, stricter side gates) as keyword arguments.  The
 defaults are the `coslam verify` scale; `tests/test_acceptance.py` runs the
 same suites at acceptance scale.
+
+The closed-form suites draw their cases one by one, in a fixed order, and
+then evaluate them with one array call of each closed form per signature
+(recursion, functional-equation, the sin suite's sign identity); the
+geometry suite checks each field's Haar draws as one stack.  An array call
+equals its scalar calls cell by cell, and _rel_errors takes the errors in
+the arithmetic of one Python complex, so a report is the same as that of a
+loop over the cases.
 """
 
 import math
@@ -47,6 +55,13 @@ def _worst(errors):
     return math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
 
 
+def _rel_errors(a, b, floor=0.0):
+    """|a - b| / max(|b|, floor) over complex arrays, as a flat list; np.hypot
+    is the complex abs of Python, bit for bit."""
+    d = a - b
+    return (np.hypot(d.real, d.imag) / np.maximum(np.hypot(b.real, b.imag), floor)).ravel().tolist()
+
+
 def _row(name, tolerance, errors, detail="", gates=()):
     """A suite's row: its worst error against its tolerance, with its fixed
     side gates as (errors, gate) pairs, each passing when every error is
@@ -72,10 +87,8 @@ def run_recursion(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
     for sig in all_signatures(max_n):
         lams = generic_lambdas(rng, lambdas)
         mus = spectral.enumerate_ktypes(sig, max_degree)
-        for mu, closed in zip(mus, spectral.eta(sig, mus, lams)):
-            for a, b in zip(closed, spectral.eta_by_recursion(sig, mu, lams)):
-                a, b = a.value, b.value
-                errors.append(abs(a - b) / max(abs(a), 1e-300))
+        closed = spectral.eta(sig, mus, lams).value
+        errors += _rel_errors(spectral.eta_by_recursion(sig, mus, lams).value, closed, 1e-300)
     return _row("recursion", tol, errors, f"{len(errors)} (sig, mu, lambda) cases")
 
 
@@ -84,16 +97,21 @@ def run_functional_equation(seed, samples=None, workers=1, grid_order=None, tol=
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     sigs = all_signatures(max_n)
     ktypes = [spectral.enumerate_ktypes(sig, max_degree) for sig in sigs]
-    errors = []
+    which, mus, lams = [], [], []  # each case's signature index, K-type and lambda
     for _ in range(cases):
-        i = rng.integers(len(sigs))
-        sig, mus = sigs[i], ktypes[i]
-        mu = mus[rng.integers(len(mus))]
-        lam = generic_lambdas(rng, 1)[0]
-        lhs = spectral.eta(sig, mu, [lam, -lam]).prod().value
-        rhs = spectral.c_p(sig, [lam, -lam]).prod().value
-        errors.append(abs(lhs - rhs) / abs(rhs))
-    return _row("functional-equation", tol, errors, f"{cases} random cases")
+        which.append(i := rng.integers(len(sigs)))
+        mus.append(ktypes[i][rng.integers(len(ktypes[i]))])
+        lams.append(generic_lambdas(rng, 1)[0])
+    which, lams = np.array(which), np.array(lams, dtype=complex)
+    pairs = np.stack([lams, -lams], axis=-1)
+    errors = np.empty(cases)
+    for i, sig in enumerate(sigs):
+        at = np.flatnonzero(which == i)
+        diag = np.arange(len(at))  # the cells pairing case c's K-type with its lambdas
+        lhs = spectral.eta(sig, [mus[c] for c in at], pairs[at])[diag, diag].prod(axis=-1)
+        rhs = spectral.c_p(sig, pairs[at]).prod(axis=-1)
+        errors[at] = _rel_errors(lhs.value, rhs.value)
+    return _row("functional-equation", tol, errors.tolist(), f"{cases} random cases")
 
 
 def run_normalization(seed, samples=None, workers=1, grid_order=None, tol=1e-13):
@@ -144,7 +162,7 @@ def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
                  pairs=60, torus_points=1):
     """Angle = cocycle on `pairs` Haar pairs per field (gate `tol`), gated on
     the inverse and torus identities (gate 1e-12).  Each field's 2 * `pairs`
-    samples come from one haar_batch draw, each checked as a GroupElement.
+    samples come from one haar_batch draw, checked as two stacked GroupElements.
 
     The errors are rounding noise far below the gates, so `measured` is the
     worst angle error rounded up to the row's gate: a passing row reads its
@@ -156,13 +174,12 @@ def run_geometry(seed, samples=None, workers=1, grid_order=None, tol=1e-10, *,
         sig = GrassmannSignature(3, 2, field)
         bo = geometry.base_point(sig)
         mats = geometry.haar_batch(sig, rng, 2 * pairs)
-        for kmat, hmat in zip(mats[0::2], mats[1::2]):
-            k, h = geometry.GroupElement(sig, kmat), geometry.GroupElement(sig, hmat)
-            ca = geometry.cos_angle(geometry.act(k, bo), geometry.act(h, bo))
-            al = geometry.alpha_p(sig, geometry.group_compose(geometry.group_inverse(h), k))
-            angle.append(abs(ca - al))
-            inverse = geometry.alpha_p(sig, k) - geometry.alpha_p(sig, geometry.group_inverse(k))
-            exact.append(abs(inverse))
+        k, h = geometry.GroupElement(sig, mats[0::2]), geometry.GroupElement(sig, mats[1::2])
+        ca = geometry.cos_angle(geometry.act(k, bo), geometry.act(h, bo))
+        al = geometry.alpha_p(sig, geometry.group_compose(geometry.group_inverse(h), k))
+        angle += np.abs(ca - al).tolist()
+        inverse = geometry.alpha_p(sig, k) - geometry.alpha_p(sig, geometry.group_inverse(k))
+        exact += np.abs(inverse).tolist()
         for _ in range(torus_points):
             t = rng.uniform(0.0, np.pi, sig.p)
             torus = geometry.alpha_p(sig, geometry.torus_point(sig, t)) - np.abs(np.cos(t)).prod()
@@ -226,11 +243,12 @@ def run_sin(seed, samples=None, workers=1, grid_order=None, tol=3.0, *,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     sign = []
     for sig in sign_sigs:
-        for mu in spectral.enumerate_ktypes(sig, sign_degree):
-            lam = generic_lambdas(rng, 1)[0]
-            a = spectral.nu(sig, mu, lam).value
-            b = (-1.0) ** (mu.degree // 2) * spectral.eta(sig, mu, lam).value
-            sign.append(abs(a - b) / abs(b))
+        mus = spectral.enumerate_ktypes(sig, sign_degree)
+        lams = np.array([generic_lambdas(rng, 1)[0] for _ in mus])  # one per K-type
+        diag = np.arange(len(mus))
+        a = spectral.nu(sig, mus, lams).value[diag, diag]
+        signs = np.array([(-1.0) ** (mu.degree // 2) for mu in mus])
+        sign += _rel_errors(a, signs * spectral.eta(sig, mus, lams).value[diag, diag])
     return _row("sin", tol, zs,
                 "; ".join(detail) + f"; sign identity {_worst(sign):.2e} (gate 1e-12)",
                 [(sign, 1e-12)])

@@ -309,3 +309,85 @@ class TestHaar:
         g = haar_sample(s, rng)
         assert isinstance(g, GroupElement)
         assert isinstance(act(g, base_point(s)), FramePoint)
+
+
+class TestStacks:
+    """A GroupElement or FramePoint holds a stack of elements over leading
+    axes; every geometry function on a stack equals its per-element calls,
+    bit for bit, and a stack is validated as a whole."""
+
+    SHAPE = (3, 4)
+
+    def stacks(self, s):
+        mats = haar_batch(s, np.random.default_rng(21), 24)
+        k, h = mats.reshape(2, *self.SHAPE, *mats.shape[1:])
+        return GroupElement(s, k), GroupElement(s, h)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    @pytest.mark.parametrize("n,p", [(1, 1), (3, 2), (5, 3)])
+    def test_stacked_calls_equal_per_element_calls(self, n, p, field):
+        s = sig(n, p, field)
+        k, h = self.stacks(s)
+        bo = base_point(s)
+        stacked = {
+            "inverse": group_inverse(k).mat,
+            "compose": group_compose(k, h).mat,
+            "act": act(k, bo).frame,
+            "alpha": alpha_p(s, k),
+            "cos": cos_angle(act(k, bo), act(h, bo)),
+        }
+        assert stacked["alpha"].shape == stacked["cos"].shape == self.SHAPE
+        for i in np.ndindex(self.SHAPE):
+            ki, hi = GroupElement(s, k.mat[i]), GroupElement(s, h.mat[i])
+            single = {
+                "inverse": group_inverse(ki).mat,
+                "compose": group_compose(ki, hi).mat,
+                "act": act(ki, bo).frame,
+                "alpha": alpha_p(s, ki),
+                "cos": cos_angle(act(ki, bo), act(hi, bo)),
+            }
+            assert isinstance(single["alpha"], float) and isinstance(single["cos"], float)
+            for name, value in single.items():
+                assert np.array_equal(stacked[name][i], value), (name, i)
+
+    def test_one_element_is_a_stack_of_shape_empty(self):
+        s = sig(3, 2, C)
+        k, _ = self.stacks(s)
+        one = GroupElement(s, k.mat[1, 2])
+        assert one.mat.shape == (4, 4)
+        assert alpha_p(s, one) == alpha_p(s, k)[1, 2]
+        assert alpha_p(s, GroupElement(s, k.mat[1:2, 2:3]))[0, 0] == alpha_p(s, one)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_one_bad_element_fails_the_stack(self, field):
+        s = sig(2, 1, field)
+        u = 2 if field is H else 1
+        good = haar_batch(s, np.random.default_rng(3), 5)
+        cases = [(2.0, "matrix is not special: |det_R| != 1"),
+                 (np.nan, "matrix entries must be finite")]
+        for scale, message in cases:
+            mats = good.copy()
+            mats[3] *= scale
+            with pytest.raises(ValueError, match=message.replace("|", r"\|")):
+                GroupElement(s, mats)
+        frames = good[:, :, :u].copy()
+        frames[4, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="frame entries must be finite"):
+            FramePoint(s, frames)
+        frames = good[:, :, :u].copy()
+        frames[1] *= 1.5
+        with pytest.raises(ValueError, match="frame columns are not orthonormal"):
+            FramePoint(s, frames)
+        with pytest.raises(ValueError, match="expected a"):
+            GroupElement(s, good[:, :, :-1])
+
+    def test_one_non_quaternionic_element_fails_the_stack(self):
+        s = sig(2, 1, H)
+        mats = haar_batch(s, np.random.default_rng(4), 5)
+        mats[2, 0, 1] += 1e-3  # breaks the block symmetry of one element
+        with pytest.raises(ValueError, match="matrix does not have the quaternionic block structure"):
+            GroupElement(s, mats)
+        frames = haar_batch(s, np.random.default_rng(4), 5)[:, :, :2]
+        frames[2, :, 1] *= 1j  # still orthonormal, no longer a quaternionic column pair
+        with pytest.raises(ValueError, match="frame does not have the quaternionic block structure"):
+            FramePoint(s, frames)

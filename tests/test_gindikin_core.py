@@ -373,6 +373,51 @@ class TestSpectralArray:
             assert values.shape == lams.shape
             assert list(values) == [spectral.eta_by_recursion(s, mu, lam) for lam in lams]
 
+    def test_recursion_over_ktype_sequence(self, rng):
+        # every signature with n <= 4 and every K-type up to degree 8, the
+        # signed ones over R with p = q included; paths of 0 to 4 steps
+        for s in all_signatures(4):
+            mus = enumerate_ktypes(s, 8)
+            lams = np.concatenate([rng.uniform(-4, 4, 3) + 1j * rng.uniform(0.4, 2.5, 3),
+                                   [s.rho, 2.0]])
+            values = spectral.eta_by_recursion(s, mus, lams)
+            assert values.shape == (len(mus), len(lams))
+            for mu, row in zip(mus, values):
+                one = spectral.eta_by_recursion(s, mu, lams)
+                assert (row.order == one.order).all() and (row.log == one.log).all(), (s, mu)
+            at_one = spectral.eta_by_recursion(s, mus, lams[0])
+            assert list(at_one) == [spectral.eta_by_recursion(s, mu, lams[0]) for mu in mus]
+
+    def test_recursion_long_paths_over_ktype_sequence(self):
+        # paths of up to 12 steps, past numpy's 8-term pairwise block
+        s = sig(3, 2, R)
+        mus = enumerate_ktypes(s, 24)
+        lams = np.array([1.5 - 2.0j, -0.25 + 0.7j])
+        values = spectral.eta_by_recursion(s, mus, lams)
+        assert all((values[i] == spectral.eta_by_recursion(s, mu, lams)).all()
+                   for i, mu in enumerate(mus))
+
+    def test_recursion_custom_path_needs_one_ktype(self):
+        s = sig(3, 1, R)
+        path = [((0,), (2,)), ((2,), (4,))]
+        assert spectral.eta_by_recursion(s, (4,), 1.0 + 1.0j, path=path) == \
+            spectral.eta_by_recursion(s, (4,), 1.0 + 1.0j)
+        for mus in ([(4,)], [(4,), (2,)], []):
+            with pytest.raises(ValueError, match="custom path needs a single K-type"):
+                spectral.eta_by_recursion(s, mus, 1.0 + 1.0j, path=path)
+
+    def test_value_of_every_cell(self):
+        s = sig(3, 2, R)
+        mus = enumerate_ktypes(s, 6)
+        lams = np.array([0.5, 2.0, 4.0, 1.0 + 0.5j, -3.0 + 1.25j])  # zeros at 2 and 4
+        table = eta(s, mus, lams)
+        values = table.value
+        assert values.shape == table.shape and values.dtype == complex
+        assert values.tolist() == [[cell.value for cell in row] for row in table]
+        assert (values[table.order < 0] == 0).all() and (table.order < 0).any()
+        with pytest.raises(ValueError, match="pole has no finite value"):
+            c_p(s, [2.0, 1.0]).value  # c_p of Gr_2(R^4) has a pole at 1
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_sphere_eta_over_lambda_array(self, n):
         rho = (n + 1) / 2.0
