@@ -517,7 +517,15 @@ def _frame_integrands(sig, frames, block, test=True):
     depend on how many samples share the call.  For p >= 3 alpha_p is the
     ratio of products of Gram-Schmidt norms and Q gives |Q_top|_F^2.  With
     test=False the test value is None and is not computed.
+
+    A lone sample is evaluated as two copies of itself.  With one sample
+    an array's rows have unit stride, and numpy sums a unit-stride real
+    axis in several partial sums instead of in order, as it does across a
+    longer view, so the Gram-Schmidt of one sample would round differently.
     """
+    if frames.shape[-1] == 1:
+        alpha, test = _frame_integrands(sig, np.repeat(frames, 2, axis=-1), block, test)
+        return alpha[:1], None if test is None else test[:1]
     p = sig.p
     mean = p ** 2 / (sig.n + 1.0)
     rows, top = frames[:, :, block * p: (block + 1) * p], frames[:, :, :p]

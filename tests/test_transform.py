@@ -578,6 +578,24 @@ class TestFrameEstimator:
         assert np.abs(_frame_integrands(s, frames, 1)[0] - below).max() < 1e-12
         assert np.abs(_frame_integrands(s, frames, 0)[1] - test).max() < 1e-12
 
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("field", [R, C, H])
+    @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (6, 2), (5, 3), (7, 4)])
+    def test_values_do_not_depend_on_the_view_length(self, n, p, field, block):
+        # _stream_sums evaluates a batch in views of any length, a lone
+        # sample included; each sample's integrands must be those of the
+        # whole 16,384-frame batch, bit for bit.  Short views cover a
+        # prefix, every view offset mod 13 among them.
+        s = sig(n, p, field)
+        frames = frame_batch(s, np.random.default_rng(n * 10 + p), 1 << 14)
+        whole = _frame_integrands(s, frames, block)
+        for length in (1, 3, 5, 7, 13, 100, 4099):
+            stop = frames.shape[-1] if length >= 100 else 208
+            views = [_frame_integrands(s, frames[..., i:min(i + length, stop)], block)
+                     for i in range(0, stop, length)]
+            for got, expected in zip(zip(*views), whole):
+                assert np.array_equal(np.concatenate(got), expected[:stop]), length
+
     @pytest.mark.parametrize("field", [R, C, H])
     @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (1, 1)])
     def test_frame_draw_is_one_standard_normal_draw(self, field, n, p):
