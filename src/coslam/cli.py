@@ -1,5 +1,5 @@
-"""Command-line front end: spectrum tables, c-function scans, pole loci and
-verification reports.
+"""Command-line front end.  It only parses and renders the spectrum tables,
+c-function scans, pole loci and verification reports that coslam computes.
 
 The lambda argument is always the single complex coordinate of the closed
 forms (the normalization in which c_p(rho) = 1); no other convention is
@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 invalid configuration, 2 verification failure.
 """
 
 import argparse
-import cmath
 import csv
 import functools
 import io
@@ -27,8 +26,8 @@ from dataclasses import field as _field
 import numpy as np
 
 from . import verify as verify_mod
-from .spectral import (FieldTag, GrassmannSignature, SpectralValue, _plan, c_p,
-                       enumerate_ktypes, eta, ktype, nu, omega)
+from .spectral import (FieldTag, GrassmannSignature, SpectralArray, c_p, enumerate_ktypes, eta,
+                       factor_crossings, nu, omega)
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -343,24 +342,15 @@ def _rows(cfg, **columns):
 
 def _cell_texts(fmt, *columns):
     """The text of every cell of SpectralArray columns of one length, per
-    column.  A finite value is cmath.exp of its log, taken row by row, so
-    the errors name the report's first bad cell."""
-    order = np.stack([c.order for c in columns], axis=-1).ravel().tolist()
-    log = np.stack([c.log for c in columns], axis=-1).ravel()
-    logs = log.tolist()
+    column, from one SpectralArray.value call with the poles as zero markers,
+    so a pole prints its order; a cell with no finite double raises that
+    call's OverflowError, naming the report's first such cell."""
+    order = np.array([c.order for c in columns]).T.ravel()
+    log = np.array([c.log for c in columns]).T.ravel()
+    value = SpectralArray(-np.abs(order), log).value
     finite, pole, zero, _ = _CELL_TEXTS[fmt]
-    try:
-        texts = [finite % ((v := cmath.exp(g)).real, v.imag) if o == 0
-                 else pole % o if o > 0 else zero % -o
-                 for o, g in zip(order, logs)]
-    except OverflowError:
-        for o, g in zip(order, logs):
-            if o == 0:
-                SpectralValue(0, g).value  # raises with the value's own message
-        raise
-    if fmt == "json" and not np.isfinite(log).all():  # exp of a finite log is finite
-        json.dumps([x for o, g in zip(order, logs) if o == 0 and not cmath.isfinite(g)
-                    for x in (cmath.exp(g).real, cmath.exp(g).imag)], allow_nan=False)
+    texts = [finite % (re, im) if o == 0 else pole % o if o > 0 else zero % -o
+             for o, re, im in zip(order.tolist(), value.real.tolist(), value.imag.tolist())]
     return [texts[i::len(columns)] for i in range(len(columns))]
 
 
@@ -397,36 +387,10 @@ def _cmd_cp(cfg):
                  cp=cps), 0
 
 
-def _eta_factor_hits(sig, mu, re_min, re_max):
-    """Real-axis crossings of the singular hyperplanes of the factors in
-    spectral._plan, sorted by (lambda, factor, j, k): the columns lambda_re,
-    factor, side, j (from 1), k.  Column j of a factor is Gamma at (s/2)
-    lambda + c, c its halved constant at mu, singular at the non-positive
-    integers -k: along lambda = base - 2sk, base = -2sc."""
-    plan = _plan(sig)
-    consts = plan["half_base"] + np.array(mu.m) @ plan["half_shift"]
-    lam, cols, ks = [], [], []
-    for i, (s, c) in enumerate(zip((2.0 * plan["half_sign"]).tolist(), consts.tolist())):
-        base = 0.0 - 2.0 * s * c  # not -2sc, which reads -0.0 at c = 0
-        lo, hi = (re_min - base, re_max - base) if s < 0 else (base - re_max, base - re_min)
-        k = range(max(0, math.ceil(lo / 2.0 - 1e-12)), math.floor(hi / 2.0 + 1e-12) + 1)
-        lam += [base - 2.0 * s * kk for kk in k]
-        cols += [i] * len(k)
-        ks += k  # Python ints: far out on the real axis k exceeds 64 bits
-    lam = np.array(lam, dtype=float)
-    rank = np.argsort(np.argsort(plan["factor"], kind="stable"))  # columns by (factor, j)
-    order = np.lexsort((rank[cols], lam)).tolist()  # stable, so k ascends within a column
-    cols = [cols[i] for i in order]
-    factor = plan["factor"].tolist()
-    side = ["numerator" if w > 0 else "denominator" for w in plan["power"].tolist()]
-    return (lam[order], [factor[i] for i in cols], [side[i] for i in cols],
-            [i % sig.p + 1 for i in cols], [ks[i] for i in order])
-
-
 def _cmd_poles(cfg):
     sig = cfg.signature()
-    mu = ktype(sig, cfg.mu) if cfg.mu else ktype(sig, (0,) * sig.p)
-    lam, factor, side, j, k = _eta_factor_hits(sig, mu, cfg.re_min, cfg.re_max)
+    mu = cfg.mu or (0,) * sig.p
+    lam, factor, side, j, k = factor_crossings(sig, mu, cfg.re_min, cfg.re_max)
     (etas,) = _cell_texts(cfg.fmt, eta(sig, mu, lam))
     return _rows(cfg, lambda_re=lam.tolist(), factor=factor, side=side, j=j, k=k, eta=etas), 0
 

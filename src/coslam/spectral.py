@@ -5,9 +5,9 @@ L^2 of the Grassmannian (the K-types, indexed by p-tuples of even integers).
 This module implements:
 
 * the closed forms c_p, eta, nu (one vectorized Gindikin-Gamma ratio over
-  arrays of lambda and K-types, whose one factor table _plan the `poles`
-  report reads too), the Gindikin Gamma gindikin_gamma and the sphere
-  specialization sphere_eta,
+  arrays of lambda and K-types, whose one factor table _plan also gives
+  the `poles` report's real-axis crossings, factor_crossings), the Gindikin
+  Gamma gindikin_gamma and the sphere specialization sphere_eta,
 * the adjacent-type step ratio and the spectrum-generating recursion that
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, Casimir eigenvalue).
@@ -26,6 +26,7 @@ Everything is a pure function of immutable values; thread-safe throughout.
 
 import cmath
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +49,7 @@ __all__ = [
     "eta_step_ratio",
     "eta_by_recursion",
     "nu",
+    "factor_crossings",
     "sphere_eta",
 ]
 
@@ -281,18 +283,20 @@ class SpectralArray(_Laurent):
 
     @property
     def value(self):
-        """The complex values, each cell's SpectralValue.value bit for bit
-        (numpy's complex exp is cmath.exp): 0 at a zero marker, and an
-        error if any cell is a pole or too large for a double."""
-        if (self.order > 0).any():
+        """The complex values, each cell's SpectralValue.value bit for bit (cmath.exp
+        is numpy's exp, or exp(log - 1) * e past log(DBL_MAX / 4)), 0 at a zero
+        marker.  A pole raises ValueError, else the first cell in C order with no
+        finite double raises OverflowError."""
+        if self.order.max(initial=0) > 0:
             raise ValueError("pole has no finite value")
         finite = self.order == 0
-        out = np.zeros(self.shape, dtype=complex)
         with np.errstate(all="ignore"):
-            out[finite] = np.exp(self.log[finite])
+            out = np.exp(self.log, out=np.zeros(self.shape, dtype=complex), where=finite)
+            if (big := finite & (self.log.real > 708.3964185322641)).any():  # log(DBL_MAX / 4)
+                out[big] = (np.exp(self.log[big] - 1.0).view(float) * math.e).view(complex)
         if not np.isfinite(out).all():
-            raise OverflowError(f"|value| = exp({self.log.real[finite].max():.6g}) "
-                                "exceeds the double-precision range")
+            first = self.log.flat[np.flatnonzero(~np.isfinite(out))[0]].real
+            raise OverflowError(f"|value| = exp({first:.6g}) exceeds the double-precision range")
         return out
 
     def __getitem__(self, index):
@@ -449,6 +453,30 @@ def _plan(sig, zero_mu=False):
     }
 
 
+def factor_crossings(sig, mu, re_min, re_max):
+    """Crossings of [re_min, re_max] by the singular hyperplanes of eta_mu's
+    factors in _plan, sorted by (lambda, factor, j, k): the columns lambda_re
+    (an array), factor, side, j (from 1) and k.  Column j is Gamma at (s/2)
+    lambda + c, singular at -k, k = 0, 1, ...: at lambda = base - 2sk, base = -2sc."""
+    plan = _plan(sig)
+    consts = plan["half_base"] + np.array(ktype(sig, mu).m) @ plan["half_shift"]
+    lam, cols, ks = [], [], []
+    for i, (s, c) in enumerate(zip((2.0 * plan["half_sign"]).tolist(), consts.tolist())):
+        base = 0.0 - 2.0 * s * c  # not -2sc, which reads -0.0 at c = 0
+        lo, hi = (re_min - base, re_max - base) if s < 0 else (base - re_max, base - re_min)
+        k = range(max(0, math.ceil(lo / 2.0 - 1e-12)), math.floor(hi / 2.0 + 1e-12) + 1)
+        lam += [base - 2.0 * s * kk for kk in k]
+        cols += [i] * len(k)
+        ks += k  # Python ints: far out on the real axis k exceeds 64 bits
+    lam, cols = np.array(lam, dtype=float), np.array(cols, dtype=int)
+    rank = np.argsort(np.argsort(plan["factor"], kind="stable"))  # columns by (factor, j)
+    order = np.lexsort((rank[cols], lam))  # stable, so k ascends within a column
+    cols = cols[order]
+    side = np.where(plan["power"][cols] > 0, "numerator", "denominator")
+    return (lam[order], plan["factor"][cols].tolist(), side.tolist(),
+            (cols % sig.p + 1).tolist(), [ks[i] for i in order.tolist()])
+
+
 # Gamma arguments per numpy pass; longer lambda arrays run in blocks.
 _BLOCK = 1 << 18
 
@@ -457,16 +485,18 @@ def _gindikin_block(plan, c, lam):
     """The product of a plan's lambda-dependent factors for the halved
     constants c (k, 1, F) and lambda (1, l, 1): a (k, l) SpectralArray."""
     half_sign = plan["half_sign"]
-    a = half_sign * lam.real
-    # TwoSum: a + c = x + e exactly.  The argument is evaluated at x and the
-    # error e enters through the pole term of log_gamma, so near a singular
-    # hyperplane the distance to the pole is not rounded away.
-    x = np.add(a, c, order="C")
-    t = x - a
-    e = (a - (x - t)) + (c - t)
-    z = x.astype(complex)
-    z.imag = half_sign * lam.imag
-    return _gamma(z, half_sign, plan["power"], residual=e).prod(axis=-1)
+    # a log past the double range reads inf or nan, and SpectralArray.value rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = half_sign * lam.real
+        # TwoSum: a + c = x + e exactly.  The argument is evaluated at x and the
+        # error e enters through the pole term of log_gamma, so near a singular
+        # hyperplane the distance to the pole is not rounded away.
+        x = np.add(a, c, order="C")
+        t = x - a
+        e = (a - (x - t)) + (c - t)
+        z = x.astype(complex)
+        z.imag = half_sign * lam.imag
+        return _gamma(z, half_sign, plan["power"], residual=e).prod(axis=-1)
 
 
 def _gindikin_ratio(sig, mu, lam, signed=True):

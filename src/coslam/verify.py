@@ -14,11 +14,11 @@ same suites at acceptance scale.
 
 The closed-form suites draw their cases one by one, in a fixed order, and
 then evaluate them with one array call of each closed form per signature
-(recursion, functional-equation, the sin suite's sign identity); the
-geometry suite checks each field's Haar draws as one stack.  An array call
-equals its scalar calls cell by cell, and _rel_errors takes the errors in
-the arithmetic of one Python complex, so a report is the same as that of a
-loop over the cases.
+(recursion, functional-equation, the sin suite's sign identity) or, in the
+sphere suite, per degree; the geometry suite checks each field's Haar draws
+as one stack.  An array call equals its scalar calls cell by cell, and
+_rel_errors takes the errors in the arithmetic of one Python complex, so a
+report is the same as that of a loop over the cases.
 """
 
 import math
@@ -121,18 +121,16 @@ def run_normalization(seed, samples=None, workers=1, grid_order=None, tol=1e-13)
 
 def run_sphere(seed, samples=None, workers=1, grid_order=None, tol=1e-7, *, lambdas=5):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    exact = []
-    fh = []
+    exact, fh = [], []
     for n in (2, 3, 4):
         sig = GrassmannSignature(n, 1, FieldTag.REAL)
-        rho = sig.rho
         for m in (0, 2, 4, 6):
             lams = generic_lambdas(rng, lambdas)
-            for a, b in zip(spectral.sphere_eta(n, m, lams), spectral.eta(sig, (m,), lams)):
-                exact.append(abs(a.value - b.value) / abs(b.value))
-            lams = [rho + off for off in (0.5, 1.0, 2.5)]
-            for lam, se in zip(lams, spectral.sphere_eta(n, m, lams)):
-                fh.append(abs(transform.funk_hecke_1d(n, m, lam) - se.value) / abs(se.value))
+            exact += _rel_errors(spectral.sphere_eta(n, m, lams).value,
+                                 spectral.eta(sig, (m,), lams).value)
+            lams = [sig.rho + off for off in (0.5, 1.0, 2.5)]
+            quad = np.array([transform.funk_hecke_1d(n, m, lam) for lam in lams])
+            fh += _rel_errors(quad, spectral.sphere_eta(n, m, lams).value)
     return _row("sphere", tol, fh, f"closed-form identity {_worst(exact):.2e} (gate 1e-12), "
                 f"quadrature {_worst(fh):.2e}", [(exact, 1e-12)])
 

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import types
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coslam.cli import main
@@ -362,6 +363,19 @@ class TestBoundary:
         assert all(-3.5 <= r["lambda_re"] <= -0.5 for r in json.loads(out)["rows"])
 
 
+# argv whose closed-form cells have no finite double: gammaln past the
+# double range gives inf - inf, or a Gamma sum overflows
+HUGE_LAMBDA_ARGV = [
+    ["cp", "--lambda", "1.7e308"],
+    ["cp", "--lambda", "1.7e308", "--format", "csv"],
+    ["cp", "--lambda=-1.7e308", "--format", "csv"],
+    ["spectrum", "--lambda", "1e307", "--max-degree", "2", "--format", "csv"],
+    ["cp", "--lambda-grid", "1e308:1.7e308:3", "--format", "csv"],
+    ["poles", "--re-min=-1.7e308", "--re-max=-1.7e308"],
+    ["cp", "--field=C", "--n=11", "--p=3", "--lambda=3.676716767318809e+305"],
+]
+
+
 class TestNonFiniteAndOverflow:
     @pytest.mark.parametrize("argv,option", [
         (["cp", "--lambda", "inf"], "--lambda"),
@@ -415,10 +429,19 @@ class TestNonFiniteAndOverflow:
             return spectral.SpectralArray(np.zeros(shape, int), np.full(shape, complex("nan")))
 
         monkeypatch.setattr("coslam.cli.c_p", nan_cells)
-        status, out, err = run_cli(capsys, "cp", "--lambda-grid", "0:1:3")
+        for fmt in ("json", "csv"):
+            status, out, err = run_cli(capsys, "cp", "--lambda-grid", "0:1:3", "--format", fmt)
+            assert status == 1 and out == ""
+            assert "NaN" not in err
+            one_error_object(err)
+
+    @pytest.mark.parametrize("argv", HUGE_LAMBDA_ARGV, ids=" ".join)
+    def test_cell_past_the_double_range_is_an_error_object(self, capsys, argv):
+        with warnings.catch_warnings():  # a numpy warning would print before the error
+            warnings.simplefilter("error")
+            status, out, err = run_cli(capsys, *argv)
         assert status == 1 and out == ""
-        assert "NaN" not in err
-        one_error_object(err)
+        assert "double-precision range" in one_error_object(err)["error"]["message"]
 
     def test_unwritable_output_is_an_error_object(self, capsys, tmp_path):
         target = str(tmp_path / "missing" / "report.json")
@@ -589,7 +612,7 @@ ALL_SIGNATURES = [GrassmannSignature(n, p, field) for field in FieldTag
 
 
 class TestFactorHits:
-    """cli._eta_factor_hits, which reads spectral._plan, against the
+    """spectral.factor_crossings, which reads spectral._plan, against the
     factor list written out in reference_hits."""
 
     @pytest.mark.parametrize("where", ["window", "on-crossing", "+1e15", "-1e15", "-1e20",
@@ -601,7 +624,7 @@ class TestFactorHits:
                           "-1e20": (-1e20, -1e20), "1e300": (1e300, 1e300)}[where]
         rows = 0
         for mu in enumerate_ktypes(s, 6):
-            lam, factor, side, j, k = cli._eta_factor_hits(s, mu, re_min, re_max)
+            lam, factor, side, j, k = spectral.factor_crossings(s, mu, re_min, re_max)
             ref = reference_hits(s, mu, re_min, re_max)
             assert list(map(repr, lam.tolist())) == [repr(h["lambda_re"]) for h in ref]
             assert (factor, side, j, k) == tuple([h[key] for h in ref]
@@ -732,3 +755,85 @@ class TestReportBytes:
         status, whole, _ = run_cli(capsys, *argv)
         monkeypatch.setattr(spectral, "_BLOCK", 64)
         assert run_cli(capsys, *argv) == (status, whole, "")
+
+
+CSV_HEADERS = {
+    "spectrum": "mu,degree,omega,eta_tag,eta_re,eta_im,eta_order,nu_tag,nu_re,nu_im,nu_order",
+    "cp": "lambda_re,lambda_im,cp_tag,cp_re,cp_im,cp_order",
+    "poles": "lambda_re,factor,side,j,k,eta_tag,eta_re,eta_im,eta_order",
+}
+# half-integers (where Gindikin factors go singular) and points just off them
+NEAR_POLES = st.builds(lambda k, off: k / 2.0 + off, st.integers(-80, 80),
+                       st.sampled_from([0.0, 0.0, 1e-15, -1e-15, 1e-9, 0.25]))
+REALS = st.one_of(NEAR_POLES, st.floats(-60.0, 60.0), st.floats(-1.7e308, 1.7e308),
+                  st.sampled_from([1.7e308, -1.7e308, 1e307, -1e307, 1e300, 2.0 ** 53]))
+IMAGS = st.one_of(st.just(0.0), st.floats(-50.0, 50.0), st.floats(-1.7e308, 1.7e308), NEAR_POLES)
+
+
+@st.composite
+def closed_form_argv(draw):
+    """spectrum, cp, cp --lambda-grid and poles argv over R, C and H with
+    n <= 12, max degree <= 10, at most 50 grid points and a span <= 40."""
+    field, n = draw(st.sampled_from("RCH")), draw(st.integers(1, 12))
+    p = draw(st.integers(1, (n + 1) // 2))
+    head = [f"--field={field}", f"--n={n}", f"--p={p}",
+            f"--format={draw(st.sampled_from(['json', 'csv']))}"]
+    lam = f"--lambda={draw(REALS)!r},{draw(IMAGS)!r}"
+    command = draw(st.sampled_from(["spectrum", "cp", "cp-grid", "poles"]))
+    if command == "spectrum":
+        return ["spectrum", *head, lam, f"--max-degree={draw(st.integers(0, 10))}"]
+    if command == "cp":
+        return ["cp", *head, lam]
+    if command == "cp-grid":
+        start, count = draw(REALS), draw(st.integers(1, 50))
+        stop = draw(st.one_of(REALS, st.just(start + 0.5 * (count - 1))))
+        return ["cp", *head, f"--lambda-grid={start!r}:{stop!r}:{count}",
+                f"--lambda-im={draw(IMAGS)!r}"]
+    sig = GrassmannSignature(n, p, FieldTag.from_label(field))
+    mu = draw(st.sampled_from(enumerate_ktypes(sig, 10))).m
+    re_min = draw(REALS)
+    span = draw(st.one_of(st.floats(0.0, 40.0), st.integers(0, 80).map(lambda k: k / 2.0)))
+    return ["poles", *head, "--mu=" + ",".join(map(str, mu)), f"--re-min={re_min!r}",
+            f"--re-max={re_min + span!r}"]
+
+
+def no_constant(name):
+    raise ValueError(f"bare {name} in a JSON report")
+
+
+class TestArgvContract:
+    """Every accepted argv ends in a valid report or in exit 1 with one JSON
+    error object, with numpy warnings as errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=closed_form_argv())
+    @example(argv=HUGE_LAMBDA_ARGV[0])
+    @example(argv=HUGE_LAMBDA_ARGV[1])
+    @example(argv=HUGE_LAMBDA_ARGV[2])
+    @example(argv=HUGE_LAMBDA_ARGV[3])
+    @example(argv=HUGE_LAMBDA_ARGV[4])
+    @example(argv=HUGE_LAMBDA_ARGV[5])
+    @example(argv=HUGE_LAMBDA_ARGV[6])
+    def test_report_or_one_error_object(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            status = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert status in (0, 1, 2)
+        if status == 1:
+            assert out == ""
+            one_error_object(err)
+            return
+        assert err == ""
+        if "csv" in argv or "--format=csv" in argv:
+            header, *rows = out.splitlines()
+            assert header == CSV_HEADERS[argv[0]]
+            for row in csv.reader(rows):
+                for cell in row:
+                    try:
+                        assert math.isfinite(float(cell)), (row, argv)
+                    except ValueError:  # text, or an empty cell
+                        pass
+        else:
+            check(json.loads(out, parse_constant=no_constant))

@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coslam import spectral
@@ -252,6 +252,22 @@ class TestAccuracyContract:
             assert abs(mp_order(s, mu, plane, kind) - expected) < 0.01, case
 
 
+def finite_cell_value(order, log):
+    """SpectralValue(order, log).value, or None where it has no finite double."""
+    try:
+        return spectral.SpectralValue(order, log).value
+    except OverflowError:
+        return None
+
+
+# finite and zero-marker cells, with logs up to and past log(DBL_MAX / 4)
+FINITE_CELLS = st.lists(
+    st.tuples(st.sampled_from([0, 0, 0, -1, -2]),
+              st.builds(complex, st.one_of(st.floats(-760.0, 709.8), st.floats(708.0, 709.8)),
+                        st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))))
+    .filter(lambda cell: finite_cell_value(*cell) is not None), min_size=1, max_size=40)
+
+
 class TestSpectralArray:
     """The array result of c_p/eta/nu/eta_by_recursion/sphere_eta and its
     algebra: its edge shapes, its cells, its products and its blocked
@@ -417,6 +433,38 @@ class TestSpectralArray:
         assert (values[table.order < 0] == 0).all() and (table.order < 0).any()
         with pytest.raises(ValueError, match="pole has no finite value"):
             c_p(s, [2.0, 1.0]).value  # c_p of Gr_2(R^4) has a pole at 1
+
+    def test_value_names_the_first_non_finite_cell_in_c_order(self):
+        nan = complex("nan")
+        logs = np.array([[0.5j, 1.0, nan], [800.0 + 0.5j, -2.0, 3.0j]])
+        cells = spectral.SpectralArray(np.zeros((2, 3), dtype=int), logs)
+        # (0, 2) precedes (1, 0) in C order, though not in column order
+        with pytest.raises(OverflowError, match=r"^\|value\| = exp\(nan\) exceeds the "
+                                                r"double-precision range$"):
+            cells.value
+        with pytest.raises(OverflowError, match=r"^\|value\| = exp\(800\) exceeds"):
+            cells[::-1].value
+        with pytest.raises(OverflowError, match=r"exp\(800\)"):  # a transposed view
+            spectral.SpectralArray(cells.order.T, cells.log.T).value
+        # a zero marker's log is never asked for
+        assert spectral.SpectralArray(np.array([-1, 0]), np.array([nan, 0.0])).value.tolist() \
+            == [0j, 1 + 0j]
+        for at in np.ndindex(logs.shape):  # a pole anywhere is the error
+            orders = np.zeros(logs.shape, dtype=int)
+            orders[at] = 1
+            with pytest.raises(ValueError, match="pole has no finite value"):
+                spectral.SpectralArray(orders, logs).value
+
+    @settings(max_examples=200, deadline=None)
+    @given(FINITE_CELLS)
+    @example([(0, complex(708.5, 1.0)), (0, complex(709.7, -0.0)), (-1, complex(800.0, 0.0)),
+              (0, complex(-745.1, 2.0)), (-2, complex("nan"))])
+    def test_value_is_each_cells_value_bit_for_bit(self, cells):
+        # cmath.exp takes exp(log - 1) * e past log(DBL_MAX / 4), about 708.4
+        orders, logs = zip(*cells)
+        values = spectral.SpectralArray(np.array(orders), np.array(logs)).value
+        expected = np.array([finite_cell_value(*cell) for cell in cells])
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_sphere_eta_over_lambda_array(self, n):
