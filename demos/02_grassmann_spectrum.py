@@ -63,5 +63,5 @@ for _ in range(4):
 print("\n== pole/zero landscape of eta_(2,0) on the real axis ==")
 for x in np.arange(-2.0, 8.5, 0.5):
     v = eta(sig, (2, 0), complex(x))
-    if not v.is_finite:
+    if v.order:
         print(f"  lambda = {x:+.1f}: {v}")

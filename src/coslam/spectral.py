@@ -12,19 +12,17 @@ This module implements:
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, Casimir eigenvalue).
 
-A spectral quantity at one point is a SpectralValue, which keeps explicit
-pole/zero markers with orders so that ratios of Gamma factors at coinciding
-singularities come out right instead of degenerating to inf/nan.  Over
-arrays of lambda or K-types it is a SpectralArray: the Laurent orders and
-log coefficients as two numpy arrays, whose cells are SpectralValues.  Every
-Gamma or linear factor is such a cell (_gamma, _linear), and every product
-is a sum of the columns (SpectralArray.prod, and `*` and `/` of the one
-algebra _Laurent that both types share, so a value and an array combine).
+A spectral quantity is a SpectralArray: the Laurent orders and the logs of
+the leading coefficients as two numpy arrays, with explicit pole/zero
+markers and orders so that ratios of Gamma factors at coinciding
+singularities come out right instead of degenerating to inf/nan.  One value
+is its 0-d case.  Every Gamma or linear factor is such an array (_gamma,
+_linear), and every product is a sum of the columns (SpectralArray.prod,
+`*` and `/`).
 
 Everything is a pure function of immutable values; thread-safe throughout.
 """
 
-import cmath
 import functools
 import math
 import operator
@@ -39,7 +37,6 @@ __all__ = [
     "FieldTag",
     "GrassmannSignature",
     "KType",
-    "SpectralValue",
     "SpectralArray",
     "ktype",
     "enumerate_ktypes",
@@ -165,108 +162,37 @@ def ktype(sig, m):
 
 
 # ---------------------------------------------------------------------------
-# SpectralValue: finite complex numbers plus explicit pole/zero markers.
+# SpectralArray: finite complex numbers plus explicit pole/zero markers.
 # ---------------------------------------------------------------------------
 
 
-class _Laurent:
-    """The algebra of SpectralValue and SpectralArray over their _columns,
-    the Laurent orders and the logs of the leading coefficients: `*` and
-    `/` add and subtract the columns and `==` compares them, with numpy
-    broadcasting, so a value combines with every cell of an array.  numpy
-    operands defer to these methods instead of walking an array's cells."""
+@dataclass(frozen=True, eq=False)
+class SpectralArray:
+    """Values of a meromorphic function, each finite or a pole/zero with an
+    order, held as two read-only columns: the Laurent orders `order` (int;
+    > 0 a pole of that order, < 0 a zero, 0 finite) and the logs of the
+    leading Laurent coefficients `log` (complex).
+
+    Keeping the coefficient (as a log, so huge Gamma products cannot
+    overflow) makes products and quotients of singular values land on the
+    correct finite number when the orders cancel, e.g. Gamma(0)/Gamma(-1) =
+    -1.  One value is the 0-d case, shape ().
+
+    Indexing gives the SpectralArray of the indexed columns; iteration runs
+    over the first axis (a 0-d array raises TypeError, as numpy does).
+    `==`, `*` and `/` go cell by cell with numpy broadcasting (`==` gives a
+    bool array), and numpy operands defer to them instead of walking the
+    cells.  `value` is the array of the cells' values.
+    """
 
     __array_ufunc__ = None
-
-    def _apply(self, other, op, join):
-        if not isinstance(other, _Laurent):
-            return NotImplemented
-        return join(*map(op, self._columns, other._columns))
-
-    def __eq__(self, other):
-        return self._apply(other, operator.eq, operator.and_)
-
-    def __mul__(self, other):
-        return self._apply(other, operator.add, _spectral)
-
-    def __truediv__(self, other):
-        return self._apply(other, operator.sub, _spectral)
-
-
-@dataclass(frozen=True, eq=False, unsafe_hash=True)  # hashed by its two fields
-class SpectralValue(_Laurent):
-    """A meromorphic-function value: finite, or a pole/zero with an order.
-
-    Internally the leading Laurent coefficient is kept (as a log, so huge
-    Gamma products cannot overflow).  That makes products and quotients of
-    singular values land on the correct finite number when the orders cancel,
-    e.g. Gamma(0)/Gamma(-1) = -1.
-    """
-
-    laurent_order: int = 0  # > 0: pole of that order, < 0: zero, 0: finite
-    log_coeff: complex = 0.0 + 0.0j
-
-    @property
-    def is_finite(self):
-        return self.laurent_order == 0
-
-    @property
-    def is_pole(self):
-        return self.laurent_order > 0
-
-    @property
-    def is_zero(self):
-        return self.laurent_order < 0
-
-    @property
-    def order(self):
-        """Positive order of the pole/zero (undefined for finite values)."""
-        if self.laurent_order == 0:
-            raise ValueError("finite value has no pole/zero order")
-        return abs(self.laurent_order)
-
-    @property
-    def value(self):
-        """The complex value; 0 for a zero marker, error for a pole."""
-        if self.laurent_order > 0:
-            raise ValueError("pole has no finite value")
-        if self.laurent_order < 0:
-            return 0.0 + 0.0j
-        try:
-            return cmath.exp(self.log_coeff)
-        except OverflowError:
-            raise OverflowError(f"|value| = exp({self.log_coeff.real:.6g}) "
-                                "exceeds the double-precision range") from None
-
-    @property
-    def _columns(self):
-        return self.laurent_order, self.log_coeff
-
-    def __str__(self):
-        if self.is_pole:
-            return f"pole(order={self.order})"
-        if self.is_zero:
-            return f"zero(order={self.order})"
-        return str(self.value)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralArray(_Laurent):
-    """An array of SpectralValues held as two read-only columns: the Laurent
-    orders (int) and the logs of the leading coefficients (complex).
-
-    Indexing gives a SpectralValue for one cell and a SpectralArray
-    otherwise; iteration runs over the first axis.  `==`, `*` and `/` go
-    cell by cell against a SpectralArray or a SpectralValue (`==` gives a
-    bool array), and `value` is the array of the cells' values.
-    """
 
     order: np.ndarray
     log: np.ndarray
 
     def __post_init__(self):
-        for name in ("order", "log"):
-            view = np.asarray(getattr(self, name)).view()
+        for name, dtype in (("order", int), ("log", complex)):
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
@@ -277,16 +203,30 @@ class SpectralArray(_Laurent):
     def __len__(self):
         return len(self.order)
 
-    @property
-    def _columns(self):
-        return self.order, self.log
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def _apply(self, other, op, join):
+        if not isinstance(other, SpectralArray):
+            return NotImplemented
+        return join(op(self.order, other.order), op(self.log, other.log))
+
+    def __eq__(self, other):
+        return self._apply(other, operator.eq, operator.and_)
+
+    def __mul__(self, other):
+        return self._apply(other, operator.add, SpectralArray)
+
+    def __truediv__(self, other):
+        return self._apply(other, operator.sub, SpectralArray)
 
     @property
     def value(self):
-        """The complex values, each cell's SpectralValue.value bit for bit (cmath.exp
-        is numpy's exp, or exp(log - 1) * e past log(DBL_MAX / 4)), 0 at a zero
-        marker.  A pole raises ValueError, else the first cell in C order with no
-        finite double raises OverflowError."""
+        """The complex values (a complex for shape ()): exp of each log
+        (numpy's exp, or exp(log - 1) * e past log(DBL_MAX / 4), which is
+        cmath.exp bit for bit), 0 at a zero marker.  A pole raises ValueError,
+        else the first cell in C order with no finite double raises
+        OverflowError."""
         if self.order.max(initial=0) > 0:
             raise ValueError("pole has no finite value")
         finite = self.order == 0
@@ -295,26 +235,29 @@ class SpectralArray(_Laurent):
             if (big := finite & (self.log.real > 708.3964185322641)).any():  # log(DBL_MAX / 4)
                 out[big] = (np.exp(self.log[big] - 1.0).view(float) * math.e).view(complex)
         if not np.isfinite(out).all():
-            first = self.log.flat[np.flatnonzero(~np.isfinite(out))[0]].real
-            raise OverflowError(f"|value| = exp({first:.6g}) exceeds the double-precision range")
-        return out
+            first = self.log.flat[np.flatnonzero(~np.isfinite(out))[0]]
+            if np.isnan(first):
+                raise OverflowError("value not computable in double precision: a log-Gamma "
+                                    "term overflowed the double-precision range")
+            raise OverflowError(f"|value| = exp({first.real:.6g}) exceeds the double-precision range")
+        return complex(out) if out.ndim == 0 else out
 
     def __getitem__(self, index):
-        return _spectral(self.order[index], self.log[index])
+        return SpectralArray(self.order[index], self.log[index])
 
     def prod(self, axis=None):
         """Product of the cells along axis, or of every cell (1 over an
         empty axis): the two columns summed by numpy.  Each row of a C-ordered
         column sums in one pairwise order whatever the number of rows, so
         array calls of the closed forms equal scalar calls."""
-        return _spectral(self.order.sum(axis), self.log.sum(axis))
+        return SpectralArray(self.order.sum(axis), self.log.sum(axis))
 
-
-def _spectral(order, log):
-    """A SpectralValue for 0-d columns, else a SpectralArray."""
-    if getattr(order, "ndim", 0) == 0:  # an int has none; np.ndim(int) is slow
-        return SpectralValue(int(order), complex(log))
-    return SpectralArray(order, log)
+    def __str__(self):
+        """One value as pole(order=k), zero(order=k) or its complex number."""
+        if self.shape:
+            return repr(self)
+        k = int(self.order)
+        return f"pole(order={k})" if k > 0 else f"zero(order={-k})" if k < 0 else str(self.value)
 
 
 def _gamma(z, slope=1.0, power=1, residual=None):
@@ -328,7 +271,7 @@ def _gamma(z, slope=1.0, power=1, residual=None):
     """
     pole, lg = log_gamma(z, np.log(np.asarray(slope, dtype=complex)), residual)
     power = np.asarray(power)
-    return _spectral(power * pole, np.multiply(power, lg, order="C"))
+    return SpectralArray(power * pole, np.multiply(power, lg, order="C"))
 
 
 def _linear(value, slope):
@@ -337,7 +280,7 @@ def _linear(value, slope):
     the slope."""
     value = np.asarray(value, dtype=complex)
     zero = value == 0
-    return _spectral(np.negative(zero, dtype=int), np.log(np.where(zero, slope, value)))
+    return SpectralArray(np.negative(zero, dtype=int), np.log(np.where(zero, slope, value)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +387,7 @@ def _plan(sig, zero_mu=False):
         groups = [g for g in groups if (*g[1:4], -g[4]) not in [h[1:] for h in groups]]
     j = np.arange(p)
     return {
-        "head_log": head.log_coeff,
+        "head_log": complex(head.log),
         "factor": np.repeat([g[0] for g in groups], p),
         "half_sign": 0.5 * np.repeat([g[1] for g in groups], p),
         "half_base": 0.5 * np.concatenate([g[2] - d * j for g in groups]),
@@ -517,7 +460,7 @@ def _gindikin_ratio(sig, mu, lam, signed=True):
     order = np.concatenate([b.order for b in blocks], axis=1)
     head = plan["head_log"] + (1j * np.pi if signed else 0.0) * (degree // 2)
     log = np.concatenate([b.log for b in blocks], axis=1) + head[:, None]
-    return _spectral(order.reshape(kshape + lshape), log.reshape(kshape + lshape))
+    return SpectralArray(order.reshape(kshape + lshape), log.reshape(kshape + lshape))
 
 
 def c_p(sig, lam):
@@ -631,7 +574,7 @@ def eta_by_recursion(sig, mu, lam, path=None):
         ratios = _linear(r2 - dws, 2.0 * scale) / _linear(r2 + dws, 2.0 * scale)
         values = c * ratios.prod(axis=-1)
         order[rows], log[rows] = values.order, values.log
-    return _spectral(order[0], log[0]) if single else _spectral(order, log)
+    return SpectralArray(order[0], log[0]) if single else SpectralArray(order, log)
 
 
 def nu(sig, mu, lam):
