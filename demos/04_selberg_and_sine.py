@@ -1,11 +1,13 @@
 """The Selberg integral behind c_p, and the sine transform.
 
 The closed form of c_p rests on Selberg's multivariate beta integral; here a
-brute-force tensor quadrature reproduces the Gamma-product formula.  When the
+tanh-sinh quadrature reproduces the Gamma-product formula.  When the
 two subspace dimensions agree (p = q), composing the cosine transform with
 the orthocomplement map gives the sine transform, whose spectrum differs from
 the cosine one by the sign (-1)^(|mu|/2) only.
 """
+
+import math
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from coslam import (
     sin_transform_numeric,
 )
 
-print("== Selberg integral: closed form vs brute-force quadrature ==")
+print("== Selberg integral: closed form vs tanh-sinh quadrature ==")
 rng = np.random.default_rng(5)
 for _ in range(5):
     a = rng.uniform(0.4, 1.5)
@@ -33,7 +35,11 @@ for _ in range(5):
     print(f"  alpha={a:.3f} g1={g1:.3f} g2={g2:.3f}: "
           f"closed {closed:.10f}, quadrature {oracle:.10f}, "
           f"diff {abs(closed - oracle):.1e}")
-print("  (p=1 and alpha=1/2, g=1 special cases: Beta(g1,g2) and "
+g1, g2 = 0.3, 2.5
+beta = math.gamma(g1) * math.gamma(g2) / math.gamma(g1 + g2)
+print(f"  p=1, g1={g1} g2={g2}: quadrature {selberg_oracle(1, 1.0, g1, g2):.12f}, "
+      f"Beta(g1, g2) {beta:.12f}")
+print("  (alpha=1/2, g=1 special case: "
       f"E|t1-t2| = {selberg_closed(2, 0.5, 1, 1).value.real:.6f})")
 
 print("\n== the orthocomplement map ==")

@@ -9,8 +9,9 @@ That makes them usable as oracles:
 * `mc_c_p`, `mc_transform_ktype` and `sin_transform_numeric` estimate the
   Grassmannian eigenvalues by Monte Carlo over Haar measure, each one call
   of the one estimator body `_mc_eigenvalue`,
-* `selberg_oracle` brute-forces the Selberg integral that powers the
-  closed-form c-function, against `selberg_closed`.
+* `selberg_oracle` integrates the Selberg integral that powers the
+  closed-form c-function (p = 1, 2) on one tanh-sinh rule whose nodes do
+  not depend on the parameters, as the check of `selberg_closed`.
 
 Convergence gate: the defining integrals converge for Re(lambda) >= rho (the
 kernel is then bounded by 1); everything here enforces that, for finite
@@ -74,7 +75,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 # haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
 from .geometry import _dtype, _units, frame_batch, haar_batch  # noqa: F401
@@ -621,44 +621,71 @@ def selberg_closed(p, alpha, g1, g2):
     return _gamma(z, power=[1, 1, 1, -1, -1]).prod()
 
 
-def _jacobi_01(order, exp0, exp1):
-    # Nodes/weights for integral_0^1 t^exp0 (1-t)^exp1 f(t) dt.
-    x, w = roots_jacobi(order, exp1, exp0)
-    return 0.5 * (x + 1.0), w * 0.5 ** (exp0 + exp1 + 1.0)
+_SELBERG_BLOCK = 1 << 16  # p = 2 integrand entries formed at once
 
 
-def selberg_oracle(p, alpha, g1, g2, order=48, max_order=3072, tol=1e-7):
-    """Brute-force Selberg integral for p in {1, 2} and finite positive parameters.
+def _tanh_sinh_01(level, span):
+    # Tanh-sinh rule on [0, 1] in logs: x = 1 / (1 + exp(-pi sinh u)) at
+    # u = j 2^-level, |u| <= span.  Returns log(pi h cosh u), log x and
+    # log(1 - x); the log weight is their sum.  Callers add the Jacobian
+    # x (1 - x) to their endpoint exponents instead (x^(g-1) dx weighs
+    # g log x), so a small g is not lost against |log x| of up to 40 / g.
+    h = 0.5 ** level
+    u = h * np.arange(-math.floor(span / h), math.floor(span / h) + 1)
+    s = math.pi * np.sinh(u)
+    return math.log(math.pi * h) + np.log(np.cosh(u)), -np.logaddexp(0.0, -s), -np.logaddexp(0.0, s)
 
-    Tensor-product Gauss-Jacobi quadrature; the p = 2 case is folded onto
-    the triangle t1 < t2 and rescaled (t1 = x y, t2 = x) so that every
-    algebraic singularity, including |t1 - t2|^(2 alpha), is absorbed into a
-    Jacobi weight.  The order is doubled until two successive evaluations
-    agree to `tol`; raises ConvergenceError if that never happens.
+
+def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
+    """Brute-force Selberg integral for p in {1, 2}, alpha > 0 and g1, g2 >= 1e-300.
+
+    Tanh-sinh quadrature on [0, 1] (Takahasi-Mori 1974): nodes
+    x = 1 / (1 + exp(-pi sinh u)) at u = j 2^-level, |u| <= U, which do not
+    depend on the parameters and absorb algebraic endpoint singularities.
+    Every integrand is exp of a sum of logs, so nothing underflows into
+    0 ** negative.  The p = 2 case is folded onto the triangle t1 < t2 and
+    rescaled (t1 = x y, t2 = x), a tensor rule in (x, y) whose corner factor
+    (1 - x y)^(g2 - 1) is taken as (g2 - 1) logaddexp(log(1 - x), log x + log(1 - y)).
+
+    U is set per call so that the dropped tail is below double precision:
+    U = max(3, log(80 / (pi gmin))), gmin being the smallest endpoint
+    exponent, min(g1, g2) at p = 1 and min(g1, g2, 2 alpha + 1) at p = 2.
+    The rule's node count, squared at p = 2, grows like log(1 / gmin).
+
+    The level rises by one (halving the step) until two successive levels
+    agree to tol * max(1, |I|), absolute below 1 and relative above 1;
+    raises ConvergenceError if that has not happened by `max_level`.
     """
     if p not in (1, 2):
         raise ValueError("the oracle covers p = 1 and p = 2 only")
     if not all(0.0 < x < math.inf for x in (alpha, g1, g2)):  # NaN fails too
         raise ValueError("oracle parameters must be finite positive reals")
+    if min(g1, g2) < 1e-300:  # U would pass 700, where sinh overflows
+        raise ValueError("the oracle needs g1, g2 >= 1e-300")
+    gmin = min(g1, g2) if p == 1 else min(g1, g2, 2.0 * alpha + 1.0)
+    span = max(3.0, math.log(80.0 / math.pi) - math.log(gmin))
 
-    def evaluate(n):
+    def evaluate(level):
+        log_w, log_x, log_1mx = _tanh_sinh_01(level, span)
         if p == 1:
-            _, w = _jacobi_01(n, g1 - 1.0, g2 - 1.0)
-            return float(w.sum())
-        x, wx = _jacobi_01(n, 2.0 * g1 + 2.0 * alpha - 1.0, g2 - 1.0)
-        y, wy = _jacobi_01(n, g1 - 1.0, 2.0 * alpha)
-        smooth = (1.0 - x[:, None] * y[None, :]) ** (g2 - 1.0)
-        return float(2.0 * wx @ smooth @ wy)
+            return float(np.exp(log_w + g1 * log_x + g2 * log_1mx).sum())
+        fx = log_w + 2.0 * (g1 + alpha) * log_x + g2 * log_1mx
+        fy = log_w + g1 * log_x + (2.0 * alpha + 1.0) * log_1mx
+        rows = max(1, _SELBERG_BLOCK // fy.size)
+        total = 0.0
+        for i in range(0, fx.size, rows):
+            corner = np.logaddexp(log_1mx[i:i + rows, None], log_x[i:i + rows, None] + log_1mx)
+            total += float(np.exp(fx[i:i + rows, None] + fy + (g2 - 1.0) * corner).sum())
+        return 2.0 * total
 
-    prev = evaluate(order)
-    n = order
-    while n <= max_order:
-        n *= 2
-        cur = evaluate(n)
+    prev = evaluate(level)
+    while level < max_level:
+        level += 1
+        cur = evaluate(level)
         if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise ConvergenceError(
-        f"Selberg quadrature did not reach {tol} agreement by order {max_order} "
+        f"Selberg quadrature did not reach {tol} agreement by level {max_level} "
         f"(parameters alpha={alpha}, g1={g1}, g2={g2})"
     )

@@ -505,21 +505,36 @@ class TestSelberg:
     def test_oracle_beta_value(self):
         assert abs(selberg_oracle(1, 1.0, 2.0, 3.0) - 1.0 / 12.0) < 1e-9
 
-    def test_oracle_matches_closed_form(self, rng):
-        for _ in range(8):
-            a = rng.uniform(0.4, 1.6)
-            g1 = rng.uniform(1.0, 3.0)
-            g2 = rng.uniform(1.0, 3.0)
-            closed = selberg_closed(2, a, g1, g2).value.real
-            assert abs(closed - selberg_oracle(2, a, g1, g2)) < 1e-6
-
     def test_oracle_monotone_in_first_exponent(self):
         vals = [selberg_oracle(2, 0.8, g1, 1.5) for g1 in (1.0, 1.5, 2.0, 2.5)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    # Under -W error: every integrand is an exp of logs, so a node at an
+    # endpoint must not raise a divide or invalid warning.
+    @pytest.mark.filterwarnings("error")
+    def test_oracle_matches_closed_form(self, rng):
+        cases = [(1 + k % 2, rng.uniform(0.1, 4.0), *rng.uniform(0.1, 6.0, 2)) for k in range(200)]
+        cases += [
+            (1, 1.0, 0.01, 2.0),  # pins U: a fixed U = 4.5 stalls here
+            (1, 1.0, 2.0, 0.01),
+            (2, 0.1, 6.0, 0.1),
+            (2, 4.0, 6.0, 6.0),
+        ]
+
+        def error(p, a, g1, g2):
+            closed = selberg_closed(p, a, g1, g2).value.real
+            err = abs(closed - selberg_oracle(p, a, g1, g2)) / max(1.0, abs(closed))
+            assert math.isfinite(err), (p, a, g1, g2)  # a NaN would pass max()
+            return err
+
+        assert max(error(*case) for case in cases) < 1e-12
+        # two level doublings, through the (1 - x y)^(-0.95) corner: 9e-12
+        assert error(2, 0.05, 0.05, 0.05) < 1e-10
+
     def test_oracle_raises_when_stalled(self):
+        # (2, 0.05, 0.05, 0.05) converges at level 5 from the default start 3
         with pytest.raises(ConvergenceError):
-            selberg_oracle(2, 0.05, 0.05, 0.05, order=8, max_order=16)
+            selberg_oracle(2, 0.05, 0.05, 0.05, level=3, max_level=4)
 
     def test_oracle_validation(self):
         with pytest.raises(ValueError):
@@ -529,6 +544,24 @@ class TestSelberg:
                 for p in (1, 2):
                     with pytest.raises(ValueError):
                         selberg_oracle(p, *params)
+        for params in ((1.0, 1e-301, 1.0), (1.0, 1.0, 5e-324)):  # U would overflow sinh
+            with pytest.raises(ValueError):
+                selberg_oracle(1, *params)
+        assert rel_err(selberg_oracle(1, 1.0, 1e-300, 1.0), 1e300) < 1e-12  # B(g, 1) = 1 / g
+
+    def test_transform_imports_nothing_from_scipy(self):
+        import ast
+
+        import coslam.transform
+
+        with open(coslam.transform.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module]
+        assert "numpy" in modules
+        assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
 class TestSpectralInversion:
