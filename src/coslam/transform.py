@@ -599,7 +599,7 @@ def sin_transform_numeric(sig, lam, mu, samples, seed, workers=1):
 
 
 # ---------------------------------------------------------------------------
-# Selberg integral: closed form and brute-force oracle.
+# Selberg integral: closed form and quadrature oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -621,7 +621,7 @@ def selberg_closed(p, alpha, g1, g2):
     return _gamma(z, power=[1, 1, 1, -1, -1]).prod()
 
 
-_SELBERG_BLOCK = 1 << 16  # p = 2 integrand entries formed at once
+_SELBERG_BLOCK = 1 << 16  # p = 2 integrand entries formed at once: memory stays flat in the level
 
 
 def _tanh_sinh_01(level, span):
@@ -654,13 +654,13 @@ def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
 
     The level rises by one (halving the step) until two successive levels
     agree to tol * max(1, |I|), absolute below 1 and relative above 1;
-    raises ConvergenceError if that has not happened by `max_level`.
+    raises ConvergenceError if no two levels up to `max_level` agree.
     """
     if p not in (1, 2):
         raise ValueError("the oracle covers p = 1 and p = 2 only")
     if not all(0.0 < x < math.inf for x in (alpha, g1, g2)):  # NaN fails too
         raise ValueError("oracle parameters must be finite positive reals")
-    if min(g1, g2) < 1e-300:  # U would pass 700, where sinh overflows
+    if min(g1, g2) < 1e-300:  # U = 694 at 1e-300; sinh overflows past 710
         raise ValueError("the oracle needs g1, g2 >= 1e-300")
     gmin = min(g1, g2) if p == 1 else min(g1, g2, 2.0 * alpha + 1.0)
     span = max(3.0, math.log(80.0 / math.pi) - math.log(gmin))
