@@ -35,6 +35,11 @@ for m in (0, 2, 4, 6):
         print(f"{m:>3} {lam:>8.2f} {c:>16.10f} {oneD.real:>16.10f} "
               f"{abs(c - oneD):>10.1e}")
 
+# On the circle the 1-D integrand carries (1 - t^2)^(-1/2), singular at t = 1.
+closed, oneD = sphere_eta(1, 8, 1.5).value.real, funk_hecke_1d(1, 8, 1.5).real
+print(f"S^1, m = 8, lambda = 1.50: closed form {closed:+.10f}, "
+      f"1-D integral {oneD:+.10f}, diff {abs(closed - oneD):.1e}")
+
 # The eigenvalue on degree-2 harmonics vanishes at lambda = rho: the closed
 # form reports an explicit zero marker, and the integral shrinks linearly as
 # lambda approaches rho from the right.

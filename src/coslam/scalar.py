@@ -1,9 +1,12 @@
 """Field-agnostic scalar machinery: complex log-Gamma with its pole
-markers, Gegenbauer polynomials and 1-D Gauss-Legendre nodes and weights.
+markers, Gegenbauer polynomials, 1-D Gauss-Legendre nodes and weights, and
+the one argument rule of the two sphere eigenvalue routes.
 
 Everything here is a pure function of its inputs; there is no shared state,
 so all routines are safe to call concurrently.
 """
+
+import numbers
 
 import numpy as np
 from scipy.special import gammaln, gammasgn, loggamma
@@ -75,6 +78,23 @@ def gegenbauer(m, nu, t):
     for j in range(2, m + 1):
         prev, cur = cur, (2.0 * t * (j + nu - 1.0) * cur - (j + 2.0 * nu - 2.0) * prev) / j
     return cur
+
+
+def _sphere_degree(n, m):
+    """(n, m) as ints for the degree-m zonal harmonics of the sphere S^n.
+
+    The argument rule of spectral.sphere_eta and transform.funk_hecke_1d:
+    n an integer >= 1 and m an even integer >= 0, integral floats included.
+    Anything else raises ValueError.
+    """
+    def integral(x):
+        return isinstance(x, numbers.Real) and float(x).is_integer()
+
+    if not (integral(n) and n >= 1):
+        raise ValueError(f"need an integral sphere dimension n >= 1, got {n!r}")
+    if not (integral(m) and m >= 0 and m % 2 == 0):
+        raise ValueError(f"m must be a nonnegative even integer, got {m!r}")
+    return int(n), int(m)
 
 
 def gauss_legendre(order):

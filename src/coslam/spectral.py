@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .scalar import log_gamma
+from .scalar import _sphere_degree, log_gamma
 
 __all__ = [
     "FieldTag",
@@ -605,12 +605,10 @@ def sphere_eta(n, m, lam):
     (-1)^(m/2) Gamma((-lambda+rho+m)/2)/Gamma((-lambda+rho)/2); evaluating it
     directly keeps the would-be 0/0 points clean.  lam may be an array: the
     result is then a SpectralArray of its shape, each cell equal to its
-    scalar call.
+    scalar call.  n must be an integer >= 1 and m an even integer >= 0
+    (integral floats accepted), as for transform.funk_hecke_1d.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be a nonnegative even integer")
+    n, m = _sphere_degree(n, m)
     lam = np.asarray(lam, dtype=complex)[..., None]
     rho = (n + 1) / 2.0
     z = np.broadcast_arrays(rho, 0.5, 0.5 * (lam - rho + 1.0), 0.5 * (lam + rho + m))

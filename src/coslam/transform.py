@@ -5,13 +5,16 @@ That makes them usable as oracles:
 
 * `cos_transform_sphere` applies the kernel |<x, w>|^(lambda - rho) by
   quadrature on S^1 and S^2, through the grid's rotational symmetry,
-* `funk_hecke_1d` reduces the sphere eigenvalue to a 1-D integral,
+* `funk_hecke_1d` reduces the sphere eigenvalue to a ratio of two 1-D
+  Beta-type integrals, on a constant span with levels 3 to 8 at 1e-12,
 * `mc_c_p`, `mc_transform_ktype` and `sin_transform_numeric` estimate the
   Grassmannian eigenvalues by Monte Carlo over Haar measure, each one call
   of the one estimator body `_mc_eigenvalue`,
 * `selberg_oracle` integrates the Selberg integral that powers the
-  closed-form c-function (p = 1, 2) on one tanh-sinh rule whose nodes do
-  not depend on the parameters, as the check of `selberg_closed`.
+  closed-form c-function (p = 1, 2), as the check of `selberg_closed`.
+
+Both 1-D oracles sum one tanh-sinh rule with parameter-free nodes, raising
+its level until two levels agree (`_ladder`; else ConvergenceError).
 
 Convergence gate: the defining integrals converge for Re(lambda) >= rho (the
 kernel is then bounded by 1); everything here enforces that, for finite
@@ -78,7 +81,7 @@ import numpy as np
 
 # haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
 from .geometry import _dtype, _units, frame_batch, haar_batch  # noqa: F401
-from .scalar import gauss_legendre, gegenbauer
+from .scalar import _sphere_degree, gauss_legendre, gegenbauer
 from .spectral import FieldTag, _gamma, ktype
 
 __all__ = [
@@ -270,54 +273,71 @@ def cos_transform_sphere(n, lam, f, grid):
 
 
 # ---------------------------------------------------------------------------
-# 1-D Funk-Hecke reduction.
+# One tanh-sinh rule on [0, 1], its level ladder, and the Funk-Hecke reduction.
 # ---------------------------------------------------------------------------
 
 
-def _graded_rule(order=24, depth=42):
-    # Composite Gauss-Legendre on [0, 1] with panels geometrically refined
-    # toward both endpoints, every panel mapped at once; handles integrable
-    # algebraic endpoint singularities to near machine precision.
-    left = [0.5 ** k for k in range(depth, 0, -1)]
-    right = [1.0 - 0.5 ** k for k in range(2, depth + 1)]
-    breaks = np.concatenate(([0.0], left, right, [1.0]))
-    nodes, weights = gauss_legendre(order)
-    a, b = breaks[:-1, None], breaks[1:, None]
-    half = 0.5 * (b - a)
-    return (0.5 * (a + b) + half * nodes).ravel(), (half * weights).ravel()
+def _tanh_sinh_01(level, span):
+    # Tanh-sinh rule on [0, 1] in logs: x = 1 / (1 + exp(-pi sinh u)) at
+    # u = j 2^-level, |u| <= span.  Returns log(pi h cosh u), log x and
+    # log(1 - x); the log weight is their sum.  Callers add the Jacobian
+    # x (1 - x) to their endpoint exponents instead (x^(g-1) dx weighs
+    # g log x), so a small g is not lost against |log x| of up to 40 / g.
+    h = 0.5 ** level
+    u = h * np.arange(-math.floor(span / h), math.floor(span / h) + 1)
+    s = math.pi * np.sinh(u)
+    return math.log(math.pi * h) + np.log(np.cosh(u)), -np.logaddexp(0.0, -s), -np.logaddexp(0.0, s)
 
 
-_FH_NODES, _FH_WEIGHTS = _graded_rule()
+def _ladder(evaluate, level, max_level, tol, what):
+    # Raise the level by one (halving the step) until evaluate gives two
+    # successive levels that agree to tol * max(1, |I|): absolute below 1,
+    # relative above.  No agreement by max_level raises ConvergenceError.
+    prev = evaluate(level)
+    while level < max_level:
+        level += 1
+        cur = evaluate(level)
+        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise ConvergenceError(f"{what} did not reach {tol} agreement by level {max_level}")
 
 
-def _integrate_01(func):
-    return complex(_FH_WEIGHTS @ func(_FH_NODES))
+_FH_SPAN = math.log(160.0 / math.pi)  # selberg_oracle's span at endpoint exponent 1/2
+_FH_LEVEL, _FH_MAX_LEVEL, _FH_TOL = 3, 8, 1e-12
 
 
 def funk_hecke_1d(n, m, lam):
     """Cosine-transform eigenvalue on degree-m harmonics of S^n, by quadrature.
 
     c_n * integral_{-1}^{1} |t|^(lambda - rho) R_m(t) (1 - t^2)^((n-2)/2) dt
-    with rho = (n+1)/2 and c_n normalizing m = 0, lambda = rho to 1.  This is
-    the independent 1-D oracle for the sphere eigenvalues.
+    with rho = (n+1)/2 and c_n normalizing m = 0, lambda = rho to 1: the
+    independent 1-D oracle for the sphere eigenvalues, for an integer n >= 1
+    and an even integer m >= 0 (integral floats accepted).
+
+    The profile is even, so with x = t^2, g1 = (lambda - rho + 1)/2, g2 = n/2
+    and I(g1, g2, f) = integral_0^1 x^(g1-1) (1-x)^(g2-1) f(x) dx,
+
+        eta = I(g1, g2, R_m(sqrt x)) / I(1/2, g2, 1),
+
+    both on selberg_oracle's tanh-sinh rule.  Both endpoint exponents are
+    >= 1/2 on the convergence region, so the span is the constant
+    log(160 / pi).  The level rises from 3 until two successive levels of eta
+    agree to 1e-12 * max(1, |eta|); ConvergenceError if none do by level 8.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be a nonnegative even integer")
+    n, m = _sphere_degree(n, m)
     rho = (n + 1) / 2.0
     _require_convergent(lam, rho)
-    expo = complex(lam) - rho
-    s = (n - 2) / 2.0
+    g1, g2 = 0.5 * (complex(lam) - rho + 1.0), 0.5 * n
 
-    def weight(t):
-        return (1.0 - t * t) ** s  # exactly 1 for s = 0
+    def evaluate(level):
+        log_w, log_x, log_1mx = _tanh_sinh_01(level, _FH_SPAN)
+        log_w = log_w + g2 * log_1mx
+        num = np.exp(log_w + g1 * log_x) @ zonal_values(n, m, np.exp(0.5 * log_x))
+        return complex(num / np.exp(log_w + 0.5 * log_x).sum())
 
-    def numerator(t):
-        return np.exp(expo * np.log(t)) * zonal_values(n, m, t) * weight(t)
-
-    # even profile: fold onto [0, 1]
-    return _integrate_01(numerator) / _integrate_01(weight)
+    return _ladder(evaluate, _FH_LEVEL, _FH_MAX_LEVEL, _FH_TOL,
+                   f"Funk-Hecke quadrature (n={n}, m={m}, lambda={lam})")
 
 
 # ---------------------------------------------------------------------------
@@ -624,18 +644,6 @@ def selberg_closed(p, alpha, g1, g2):
 _SELBERG_BLOCK = 1 << 16  # p = 2 integrand entries formed at once: memory stays flat in the level
 
 
-def _tanh_sinh_01(level, span):
-    # Tanh-sinh rule on [0, 1] in logs: x = 1 / (1 + exp(-pi sinh u)) at
-    # u = j 2^-level, |u| <= span.  Returns log(pi h cosh u), log x and
-    # log(1 - x); the log weight is their sum.  Callers add the Jacobian
-    # x (1 - x) to their endpoint exponents instead (x^(g-1) dx weighs
-    # g log x), so a small g is not lost against |log x| of up to 40 / g.
-    h = 0.5 ** level
-    u = h * np.arange(-math.floor(span / h), math.floor(span / h) + 1)
-    s = math.pi * np.sinh(u)
-    return math.log(math.pi * h) + np.log(np.cosh(u)), -np.logaddexp(0.0, -s), -np.logaddexp(0.0, s)
-
-
 def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
     """Brute-force Selberg integral for p in {1, 2}, alpha > 0 and g1, g2 >= 1e-300.
 
@@ -652,9 +660,8 @@ def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
     exponent, min(g1, g2) at p = 1 and min(g1, g2, 2 alpha + 1) at p = 2.
     The rule's node count, squared at p = 2, grows like log(1 / gmin).
 
-    The level rises by one (halving the step) until two successive levels
-    agree to tol * max(1, |I|), absolute below 1 and relative above 1;
-    raises ConvergenceError if no two levels up to `max_level` agree.
+    The level rises from `level` until two successive levels agree to
+    tol * max(1, |I|); ConvergenceError if none do by `max_level`.
     """
     if p not in (1, 2):
         raise ValueError("the oracle covers p = 1 and p = 2 only")
@@ -678,14 +685,5 @@ def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
             total += float(np.exp(fx[i:i + rows, None] + fy + (g2 - 1.0) * corner).sum())
         return 2.0 * total
 
-    prev = evaluate(level)
-    while level < max_level:
-        level += 1
-        cur = evaluate(level)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"Selberg quadrature did not reach {tol} agreement by level {max_level} "
-        f"(parameters alpha={alpha}, g1={g1}, g2={g2})"
-    )
+    return _ladder(evaluate, level, max_level, tol,
+                   f"Selberg quadrature (alpha={alpha}, g1={g1}, g2={g2})")

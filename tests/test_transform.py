@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from coslam import spectral
+from coslam import spectral, transform
 from coslam.geometry import _haar_from_ginibre, frame_batch, quat_embed
 from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_eta
 from coslam.transform import (
@@ -330,13 +330,21 @@ class TestFunkHecke:
         assert rel_err(funk_hecke_1d(n, m, lam), expected) < 1e-10
 
     def test_matches_closed_form_table(self):
-        for n in (2, 3, 4):
+        # n = 1 puts a (1 - t^2)^(-1/2) singularity at t = 1; 0.7i sits on
+        # the convergence edge Re(lambda) = rho
+        for n in (1, 2, 3, 4):
             rho = (n + 1) / 2.0
-            for m in (2, 4, 6):
-                for off in (0.5, 1.0, 2.5):
+            for m in (2, 4, 6, 8, 12):
+                for off in (0.5, 1.0, 2.5, 0.7j, 4.0 + 1.5j):
                     fh = funk_hecke_1d(n, m, rho + off)
                     se = sphere_eta(n, m, rho + off).value
-                    assert rel_err(fh, se) < 1e-7
+                    assert rel_err(fh, se) < 1e-7, (n, m, off)
+
+    def test_raises_when_stalled(self, monkeypatch):
+        # with no level above the first there are no two levels to agree
+        monkeypatch.setattr(transform, "_FH_MAX_LEVEL", transform._FH_LEVEL)
+        with pytest.raises(ConvergenceError, match="Funk-Hecke quadrature"):
+            funk_hecke_1d(2, 2, 2.0)
 
     def test_degree_two_vanishes_at_rho_limit(self):
         # closed form has an exact zero at lambda = rho; quadrature at
@@ -352,13 +360,20 @@ class TestFunkHecke:
         with pytest.raises(ValueError):
             funk_hecke_1d(2, 2, 1.0)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
     def test_sphere_dimension_validated(self, n):
         # the closed form and the quadrature both need a sphere S^n, n >= 1
         with pytest.raises(ValueError):
             sphere_eta(n, 2, 1.0)
         with pytest.raises(ValueError):
             funk_hecke_1d(n, 2, 5.0)
+
+    def test_integral_floats_accepted(self):
+        # both sphere routes read an integral float as its integer
+        lam = 3.25 + 0.5j
+        assert funk_hecke_1d(2, 2.0, lam) == funk_hecke_1d(2, 2, lam)
+        assert funk_hecke_1d(3.0, 4, lam) == funk_hecke_1d(3, 4, lam)
+        assert sphere_eta(2.0, 2.0, lam) == sphere_eta(2, 2, lam)
 
 
 class TestMcCp:
@@ -562,6 +577,18 @@ class TestSelberg:
                     if isinstance(node, ast.ImportFrom) and node.module]
         assert "numpy" in modules
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+        # The oracles stay independent of the closed forms they check: only
+        # the field tag, the K-type wrapper and the Gamma cells of
+        # selberg_closed come from spectral, and the module itself never
+        # does (`from . import spectral`, `import coslam.spectral`).
+        from_spectral = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("spectral"):
+                from_spectral.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                from_spectral.update(alias.name for alias in node.names
+                                     if alias.name.endswith("spectral"))
+        assert from_spectral == {"FieldTag", "ktype", "_gamma"}
 
 
 class TestSpectralInversion:
