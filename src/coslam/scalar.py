@@ -1,6 +1,6 @@
 """Field-agnostic scalar machinery: complex log-Gamma with its pole
-markers, Gegenbauer polynomials, 1-D Gauss-Legendre nodes and weights, and
-the one argument rule of the two sphere eigenvalue routes.
+markers, Gegenbauer polynomials, and the integrality rule that the sphere
+routes and the Grassmannian signature read their dimensions by.
 
 Everything here is a pure function of its inputs; there is no shared state,
 so all routines are safe to call concurrently.
@@ -14,7 +14,6 @@ from scipy.special import gammaln, gammasgn, loggamma
 __all__ = [
     "log_gamma",
     "gegenbauer",
-    "gauss_legendre",
 ]
 
 #: Distance below which an argument counts as sitting on a Gamma pole.
@@ -80,6 +79,11 @@ def gegenbauer(m, nu, t):
     return cur
 
 
+def _integral(x):
+    """Whether x is an integer, integral floats included."""
+    return isinstance(x, numbers.Real) and float(x).is_integer()
+
+
 def _sphere_degree(n, m):
     """(n, m) as ints for the degree-m zonal harmonics of the sphere S^n.
 
@@ -87,22 +91,8 @@ def _sphere_degree(n, m):
     n an integer >= 1 and m an even integer >= 0, integral floats included.
     Anything else raises ValueError.
     """
-    def integral(x):
-        return isinstance(x, numbers.Real) and float(x).is_integer()
-
-    if not (integral(n) and n >= 1):
+    if not (_integral(n) and n >= 1):
         raise ValueError(f"need an integral sphere dimension n >= 1, got {n!r}")
-    if not (integral(m) and m >= 0 and m % 2 == 0):
+    if not (_integral(m) and m >= 0 and m % 2 == 0):
         raise ValueError(f"m must be a nonnegative even integer, got {m!r}")
     return int(n), int(m)
-
-
-def gauss_legendre(order):
-    """The (nodes, weights) arrays of the Gauss-Legendre rule of the given
-    order on (-1, 1): nodes increasing, weights positive and summing to 2.
-
-    Exact for polynomials of degree <= 2*order - 1.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return np.polynomial.legendre.leggauss(order)

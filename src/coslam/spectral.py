@@ -7,7 +7,8 @@ This module implements:
 * the closed forms c_p, eta, nu (one vectorized Gindikin-Gamma ratio over
   arrays of lambda and K-types, whose one factor table _plan also gives
   the `poles` report's real-axis crossings, factor_crossings), the Gindikin
-  Gamma gindikin_gamma and the sphere specialization sphere_eta,
+  Gamma gindikin_gamma, Selberg's integral selberg_closed and the sphere
+  specialization sphere_eta,
 * the adjacent-type step ratio and the spectrum-generating recursion that
   rebuilds eta from eta_0 = c_p one lattice step at a time,
 * the K-type lattice itself (enumeration, Casimir eigenvalue).
@@ -31,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .scalar import _sphere_degree, log_gamma
+from .scalar import _integral, _sphere_degree, log_gamma
 
 __all__ = [
     "FieldTag",
@@ -48,6 +49,7 @@ __all__ = [
     "nu",
     "factor_crossings",
     "sphere_eta",
+    "selberg_closed",
 ]
 
 
@@ -79,7 +81,8 @@ class GrassmannSignature:
     """The Grassmannian of p-dimensional subspaces of K^(n+1).
 
     Derived quantities: q = n+1-p, d = dim_R K, rho = d(n+1)/2.  The
-    transform integrals converge for Re(lambda) >= rho.
+    transform integrals converge for Re(lambda) >= rho.  n and p must be
+    integers (integral floats are read as ints).
     """
 
     n: int
@@ -87,6 +90,10 @@ class GrassmannSignature:
     field: FieldTag
 
     def __post_init__(self):
+        if not (_integral(self.n) and _integral(self.p)):
+            raise ValueError(f"need integral n and p, got n={self.n!r}, p={self.p!r}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "p", int(self.p))
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
         if self.p > self.q:
@@ -302,6 +309,24 @@ def gindikin_gamma(p, d, v):
     return _gamma(np.asarray(v, dtype=complex) - 0.5 * d * np.arange(p)).prod()
 
 
+def selberg_closed(p, alpha, g1, g2):
+    """Selberg's integral in closed form:
+
+    prod_{j=1}^{p} Gamma(alpha j + 1) Gamma(alpha (j-1) + g1) Gamma(alpha (j-1) + g2)
+                 / (Gamma(alpha + 1) Gamma(alpha (p+j-2) + g1 + g2))
+
+    Meromorphically continued through the log-Gamma representation; returns
+    pole/zero markers on the singular set.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    alpha, g1, g2 = complex(alpha), complex(g1), complex(g2)
+    j = np.arange(1, p + 1)
+    z = np.stack([alpha * j + 1.0, alpha * (j - 1) + g1, alpha * (j - 1) + g2,
+                  np.full(p, alpha + 1.0), alpha * (p + j - 2) + g1 + g2], axis=1)
+    return _gamma(z, power=[1, 1, 1, -1, -1]).prod()
+
+
 def enumerate_ktypes(sig, max_degree):
     """All K-types with sum_j |m_j| <= max_degree.
 
@@ -498,8 +523,8 @@ def eta_step_ratio(sig, mu, j, lam):
 
     (lambda - m_j - rho + d(j-1)) / (lambda + m_j + rho - d(j-1)).
 
-    Requires mu + 2 e_j to be a valid K-type.  Zero marker when the numerator
-    vanishes, pole marker when the denominator does.
+    Requires mu + 2 e_j to be a valid K-type and a finite lambda.  Zero
+    marker when the numerator vanishes, pole marker when the denominator does.
     """
     mu = ktype(sig, mu)
     if not 0 <= j < sig.p:
@@ -507,6 +532,8 @@ def eta_step_ratio(sig, mu, j, lam):
     if not _is_dominant(sig, mu.m[:j] + (mu.m[j] + 2,) + mu.m[j + 1:]):
         raise ValueError(f"mu + 2e_{j + 1} leaves the lattice for mu = {mu}")
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError("lambda must be finite")
     shift = mu.m[j] + sig.rho - sig.d * j
     return _linear(lam - shift, 1.0) / _linear(lam + shift, 1.0)
 

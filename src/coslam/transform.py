@@ -6,15 +6,15 @@ That makes them usable as oracles:
 * `cos_transform_sphere` applies the kernel |<x, w>|^(lambda - rho) by
   quadrature on S^1 and S^2, through the grid's rotational symmetry,
 * `funk_hecke_1d` reduces the sphere eigenvalue to a ratio of two 1-D
-  Beta-type integrals, on a constant span with levels 3 to 8 at 1e-12,
+  Beta-type integrals, on a constant span at agreement 1e-12,
 * `mc_c_p`, `mc_transform_ktype` and `sin_transform_numeric` estimate the
   Grassmannian eigenvalues by Monte Carlo over Haar measure, each one call
   of the one estimator body `_mc_eigenvalue`,
 * `selberg_oracle` integrates the Selberg integral that powers the
-  closed-form c-function (p = 1, 2), as the check of `selberg_closed`.
+  closed-form c-function (p = 1, 2), as the check of `spectral.selberg_closed`.
 
 Both 1-D oracles sum one tanh-sinh rule with parameter-free nodes, raising
-its level until two levels agree (`_ladder`; else ConvergenceError).
+its level from 3 up to 8 until two levels agree (`_ladder`; else ConvergenceError).
 
 Convergence gate: the defining integrals converge for Re(lambda) >= rho (the
 kernel is then bounded by 1); everything here enforces that, for finite
@@ -57,9 +57,9 @@ realization.
 Monte Carlo error model: plain sample standard error; the integrands are
 bounded on the convergence region so the CLT applies.  A master seed is split
 into per-worker streams with numpy's SeedSequence.spawn, worker chunks are
-contiguous, and partial sums are combined by a fixed-order pairwise tree, so
-results are bit-reproducible for a given (seed, workers) and independent of
-how the workers are scheduled.
+contiguous, and the per-worker sums are added left to right in worker order,
+so results are bit-reproducible for a given (seed, workers) and independent
+of how the workers are scheduled.
 
 The streams run concurrently on min(workers, usable CPUs) threads, since a
 batch is numpy calls that release the GIL.  Each stream draws every batch
@@ -72,6 +72,7 @@ the memory one batch took when the streams ran in turn.
 import cmath
 import functools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -81,8 +82,9 @@ import numpy as np
 
 # haar_batch stays bound here because bench/tracing.py patches transform.haar_batch.
 from .geometry import _dtype, _units, frame_batch, haar_batch  # noqa: F401
-from .scalar import _sphere_degree, gauss_legendre, gegenbauer
-from .spectral import FieldTag, _gamma, ktype
+from .scalar import _integral, _sphere_degree, gegenbauer
+# selberg_closed stays bound here because bench/workloads.py reads transform.selberg_closed.
+from .spectral import FieldTag, ktype, selberg_closed  # noqa: F401
 
 __all__ = [
     "ConvergenceError",
@@ -96,7 +98,6 @@ __all__ = [
     "mc_c_p",
     "mc_transform_ktype",
     "sin_transform_numeric",
-    "selberg_closed",
     "selberg_oracle",
 ]
 
@@ -171,7 +172,7 @@ def sphere_grid(n, order):
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return SphereGrid(1, pts, np.full(nphi, 1.0 / nphi), nphi)
     if n == 2:
-        nodes, weights = gauss_legendre(order)
+        nodes, weights = np.polynomial.legendre.leggauss(order)
         phi = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
         z = np.repeat(nodes, nphi)
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -188,7 +189,12 @@ def zonal_values(n, m, t):
 
     For n >= 2 this is the Gegenbauer ratio C_m^((n-1)/2)(t) / C_m^((n-1)/2)(1);
     for the circle it degenerates to the Chebyshev polynomial cos(m arccos t).
+    n must be an integer >= 1 and m an integer >= 0, odd m included
+    (integral floats accepted).
     """
+    if not (_integral(n) and n >= 1 and _integral(m) and m >= 0):
+        raise ValueError(f"need integers n >= 1 and m >= 0, got n={n!r}, m={m!r}")
+    n, m = int(n), int(m)
     t = np.asarray(t, dtype=float)
     if m == 0:
         return np.ones_like(t)
@@ -289,22 +295,27 @@ def _tanh_sinh_01(level, span):
     return math.log(math.pi * h) + np.log(np.cosh(u)), -np.logaddexp(0.0, -s), -np.logaddexp(0.0, s)
 
 
-def _ladder(evaluate, level, max_level, tol, what):
-    # Raise the level by one (halving the step) until evaluate gives two
-    # successive levels that agree to tol * max(1, |I|): absolute below 1,
-    # relative above.  No agreement by max_level raises ConvergenceError.
+_FIRST_LEVEL, _LAST_LEVEL = 3, 8  # the one level schedule of both 1-D oracles
+_FH_TOL, _SELBERG_TOL = 1e-12, 1e-7  # the agreement each oracle's ladder asks for
+
+
+def _ladder(evaluate, tol, what):
+    # Raise the level by one (halving the step) from _FIRST_LEVEL until
+    # evaluate gives two successive levels that agree to tol * max(1, |I|):
+    # absolute below 1, relative above.  No agreement by _LAST_LEVEL raises
+    # ConvergenceError.
+    level = _FIRST_LEVEL
     prev = evaluate(level)
-    while level < max_level:
+    while level < _LAST_LEVEL:
         level += 1
         cur = evaluate(level)
         if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise ConvergenceError(f"{what} did not reach {tol} agreement by level {max_level}")
+    raise ConvergenceError(f"{what} did not reach {tol} agreement by level {_LAST_LEVEL}")
 
 
 _FH_SPAN = math.log(160.0 / math.pi)  # selberg_oracle's span at endpoint exponent 1/2
-_FH_LEVEL, _FH_MAX_LEVEL, _FH_TOL = 3, 8, 1e-12
 
 
 def funk_hecke_1d(n, m, lam):
@@ -336,8 +347,7 @@ def funk_hecke_1d(n, m, lam):
         num = np.exp(log_w + g1 * log_x) @ zonal_values(n, m, np.exp(0.5 * log_x))
         return complex(num / np.exp(log_w + 0.5 * log_x).sum())
 
-    return _ladder(evaluate, _FH_LEVEL, _FH_MAX_LEVEL, _FH_TOL,
-                   f"Funk-Hecke quadrature (n={n}, m={m}, lambda={lam})")
+    return _ladder(evaluate, _FH_TOL, f"Funk-Hecke quadrature (n={n}, m={m}, lambda={lam})")
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +377,6 @@ def worker_streams(seed, workers):
 def _split_counts(total, workers):
     base, extra = divmod(total, workers)
     return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _tree_reduce(parts):
-    # Fixed-order pairwise reduction by worker index.
-    parts = list(parts)
-    while len(parts) > 1:
-        nxt = []
-        for i in range(0, len(parts) - 1, 2):
-            a, b = parts[i], parts[i + 1]
-            nxt.append((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
 
 
 def _usable_cpus():
@@ -433,7 +429,9 @@ def _mc_mean(sig, value_fn, samples, seed, workers):
                                   _split_counts(samples, workers)))
         finally:
             stop.set()
-    s1, s2, n = _tree_reduce(parts)
+    # A left fold in worker order, which pool.map keeps.  Not sum(): from
+    # Python 3.12 it compensates float sums.
+    s1, s2, n = (functools.reduce(operator.add, column) for column in zip(*parts))
     mean = s1 / n
     var = max(s2 - abs(s1) ** 2 / n, 0.0) / (n - 1) if n > 1 else 0.0
     return McEstimate(mean=mean, stderr=math.sqrt(var / n), samples=n, seed=seed)
@@ -619,32 +617,14 @@ def sin_transform_numeric(sig, lam, mu, samples, seed, workers=1):
 
 
 # ---------------------------------------------------------------------------
-# Selberg integral: closed form and quadrature oracle.
+# Selberg integral: the quadrature oracle.
 # ---------------------------------------------------------------------------
-
-
-def selberg_closed(p, alpha, g1, g2):
-    """Selberg's integral in closed form:
-
-    prod_{j=1}^{p} Gamma(alpha j + 1) Gamma(alpha (j-1) + g1) Gamma(alpha (j-1) + g2)
-                 / (Gamma(alpha + 1) Gamma(alpha (p+j-2) + g1 + g2))
-
-    Meromorphically continued through the log-Gamma representation; returns
-    pole/zero markers on the singular set.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    alpha, g1, g2 = complex(alpha), complex(g1), complex(g2)
-    j = np.arange(1, p + 1)
-    z = np.stack([alpha * j + 1.0, alpha * (j - 1) + g1, alpha * (j - 1) + g2,
-                  np.full(p, alpha + 1.0), alpha * (p + j - 2) + g1 + g2], axis=1)
-    return _gamma(z, power=[1, 1, 1, -1, -1]).prod()
 
 
 _SELBERG_BLOCK = 1 << 16  # p = 2 integrand entries formed at once: memory stays flat in the level
 
 
-def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
+def selberg_oracle(p, alpha, g1, g2):
     """Brute-force Selberg integral for p in {1, 2}, alpha > 0 and g1, g2 >= 1e-300.
 
     Tanh-sinh quadrature on [0, 1] (Takahasi-Mori 1974): nodes
@@ -660,8 +640,8 @@ def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
     exponent, min(g1, g2) at p = 1 and min(g1, g2, 2 alpha + 1) at p = 2.
     The rule's node count, squared at p = 2, grows like log(1 / gmin).
 
-    The level rises from `level` until two successive levels agree to
-    tol * max(1, |I|); ConvergenceError if none do by `max_level`.
+    The level rises from 3 until two successive levels agree to
+    1e-7 * max(1, |I|); ConvergenceError if none do by level 8.
     """
     if p not in (1, 2):
         raise ValueError("the oracle covers p = 1 and p = 2 only")
@@ -685,5 +665,4 @@ def selberg_oracle(p, alpha, g1, g2, level=3, max_level=8, tol=1e-7):
             total += float(np.exp(fx[i:i + rows, None] + fy + (g2 - 1.0) * corner).sum())
         return 2.0 * total
 
-    return _ladder(evaluate, level, max_level, tol,
-                   f"Selberg quadrature (alpha={alpha}, g1={g1}, g2={g2})")
+    return _ladder(evaluate, _SELBERG_TOL, f"Selberg quadrature (alpha={alpha}, g1={g1}, g2={g2})")

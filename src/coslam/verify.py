@@ -260,7 +260,7 @@ def run_selberg(seed, samples=None, workers=1, grid_order=None, tol=1e-6):
         a = rng.uniform(0.4, 1.6)
         g1 = rng.uniform(1.0, 3.0)
         g2 = rng.uniform(1.0, 3.0)
-        closed = transform.selberg_closed(p, a, g1, g2).value.real
+        closed = spectral.selberg_closed(p, a, g1, g2).value.real
         oracle = transform.selberg_oracle(p, a, g1, g2)
         errors.append(abs(closed - oracle) / max(1.0, abs(closed)))
     return _row("selberg", tol, errors, "20 random positive parameter sets")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-from coslam.scalar import gauss_legendre, gegenbauer, log_gamma
+from coslam.scalar import gegenbauer, log_gamma
 
 from conftest import rel_err
 
@@ -121,36 +121,3 @@ class TestGegenbauer:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             gegenbauer(-1, 0.5, 0.0)
-
-
-class TestGaussLegendre:
-    def test_order_one(self):
-        nodes, weights = gauss_legendre(1)
-        assert np.allclose(nodes, [0.0], atol=1e-15)
-        assert np.allclose(weights, [2.0], atol=1e-15)
-
-    def test_order_two(self):
-        nodes, weights = gauss_legendre(2)
-        assert np.allclose(nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
-        assert np.allclose(weights, [1.0, 1.0], atol=1e-15)
-
-    def test_t20_integral(self):
-        nodes, weights = gauss_legendre(16)
-        assert abs(nodes**20 @ weights - 2.0 / 21.0) < 1e-13
-
-    @pytest.mark.parametrize("order", [3, 8, 16, 48])
-    def test_monomial_exactness(self, order):
-        nodes, weights = gauss_legendre(order)
-        for deg in range(0, 2 * order, 2):
-            exact = 2.0 / (deg + 1)
-            assert abs(nodes**deg @ weights - exact) < 1e-13
-
-    def test_invariants(self):
-        nodes, weights = gauss_legendre(64)
-        assert abs(weights.sum() - 2.0) < 1e-12
-        assert np.all(np.diff(nodes) > 0)
-        assert np.all(weights > 0)
-
-    def test_rejects_bad_rules(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0)

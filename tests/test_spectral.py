@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from coslam.spectral import (
     nu,
     omega,
     rho_k,
+    selberg_closed,
     sphere_eta,
 )
 from coslam.verify import all_signatures, generic_lambdas
@@ -48,6 +50,17 @@ class TestTypes:
             sig(3, 3, R)  # p > q
         with pytest.raises(ValueError):
             sig(0, 1, R)
+
+    @pytest.mark.parametrize("n,p", [(2.5, 1), (3, 1.5), (math.nan, 1), (3, math.inf), ("3", 1)])
+    def test_signature_dimensions_must_be_integral(self, n, p):
+        # Gr_1(R^3.5) and Gr_1.5(R^4) do not exist
+        with pytest.raises(ValueError, match="need integral n and p"):
+            sig(n, p, R)
+
+    def test_signature_reads_integral_floats_as_ints(self):
+        s = sig(3.0, np.int64(1), R)
+        assert s == sig(3, 1, R) and type(s.n) is int and type(s.p) is int
+        assert s.label() == "Gr_1(R^4)"
 
     def test_ktype_validation(self):
         s = sig(3, 2, R)
@@ -289,6 +302,12 @@ class TestStepRatio:
         with pytest.raises(ValueError):
             eta_step_ratio(sig(4, 2, C), (2, 2), 1, 1.0 + 1.0j)  # (2,4) not dominant
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, complex(2.0, math.inf)])
+    def test_non_finite_lambda_rejected(self, lam):
+        # as every other closed form: the ratio has no Gamma term to overflow
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            eta_step_ratio(sig(4, 2, C), (2, 0), 0, lam)
+
     @pytest.mark.parametrize("j", [-1, 2])
     def test_index_out_of_range_rejected(self, j):
         # j = -1 would index the last coordinate but shift by d*j with j = -1
@@ -447,6 +466,28 @@ class TestSphereEta:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             sphere_eta(2, 3, 2.0)
+
+
+class TestSelbergClosed:
+    def test_rank_one_is_beta(self, rng):
+        got = selberg_closed(1, 0.9, 2.0, 3.0).value
+        assert rel_err(got, 1.0 / 12.0) < 1e-13  # B(2, 3), alpha drops out at p=1
+        for _ in range(5):
+            g1, g2 = rng.uniform(0.2, 4.0, 2)
+            beta = math.exp(math.lgamma(g1) + math.lgamma(g2) - math.lgamma(g1 + g2))
+            assert rel_err(selberg_closed(1, 1.3, g1, g2).value, beta) < 1e-12
+
+    def test_symmetric_in_exponents(self, rng):
+        for _ in range(10):
+            a = rng.uniform(0.3, 2.0)
+            g1, g2 = rng.uniform(0.3, 3.0, 2)
+            x = selberg_closed(2, a, g1, g2).value
+            y = selberg_closed(2, a, g2, g1).value
+            assert rel_err(x, y) < 1e-12
+
+    def test_half_alpha_unit_exponents(self):
+        # the plain integral of |t1 - t2| over the unit square
+        assert abs(selberg_closed(2, 0.5, 1.0, 1.0).value.real - 1.0 / 3.0) < 1e-13
 
 
 class TestSpectralValue:

@@ -1,5 +1,8 @@
+import functools
 import math
+import operator
 import os
+import re
 import sys
 import threading
 
@@ -8,7 +11,7 @@ import pytest
 
 from coslam import spectral, transform
 from coslam.geometry import _haar_from_ginibre, frame_batch, quat_embed
-from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, sphere_eta
+from coslam.spectral import FieldTag, GrassmannSignature, c_p, eta, nu, selberg_closed, sphere_eta
 from coslam.transform import (
     ConvergenceError,
     SphereGrid,
@@ -17,12 +20,10 @@ from coslam.transform import (
     _gram_schmidt,
     _kernel_pow,
     _mc_mean,
-    _tree_reduce,
     cos_transform_sphere,
     funk_hecke_1d,
     mc_c_p,
     mc_transform_ktype,
-    selberg_closed,
     selberg_oracle,
     sin_transform_numeric,
     sphere_grid,
@@ -124,11 +125,47 @@ class TestSphereGrid:
         for m in (1, 2, 3, 4):
             assert abs(grid.weights @ zonal_values(2, m, t)) < 1e-13
 
+    # The S^2 rings sit at the Gauss-Legendre nodes in z = cos(theta), so
+    # the grid integrates z^deg exactly for deg < 2 * order.
+    def test_order_one(self):
+        grid = sphere_grid(2, 1)
+        assert np.allclose(grid.points[:, 2], 0.0, atol=1e-15)
+        assert abs(grid.weights.sum() - 1.0) < 1e-15
+
+    def test_order_two(self):
+        grid = sphere_grid(2, 2)
+        rings = grid.points[::grid.azimuths, 2]
+        assert np.allclose(rings, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
+        assert np.allclose(grid.weights.reshape(2, -1).sum(axis=1), 0.5, atol=1e-15)
+
+    def test_t20_integral(self):
+        grid = sphere_grid(2, 16)
+        assert abs(grid.weights @ grid.points[:, 2] ** 20 - 1.0 / 21.0) < 1e-13
+
+    @pytest.mark.parametrize("order", [3, 8, 16, 48])
+    def test_monomial_exactness(self, order):
+        grid = sphere_grid(2, order)
+        for deg in range(0, 2 * order, 2):
+            assert abs(grid.weights @ grid.points[:, 2] ** deg - 1.0 / (deg + 1)) < 1e-13
+
+    def test_ring_invariants(self):
+        grid = sphere_grid(2, 64)
+        assert np.all(np.diff(grid.points[::grid.azimuths, 2]) > 0)
+        assert np.all(grid.weights > 0)
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             sphere_grid(3, 8)
         with pytest.raises(ValueError):
             SphereGrid(2, np.zeros((4, 3)), np.full(4, 0.3))
+
+
+class TestZonalValues:
+    @pytest.mark.parametrize("m", [2.5, -1, -2, math.nan, "2"])
+    def test_degree_validated(self, m):
+        # odd degrees are valid here; the message names the degree as given
+        with pytest.raises(ValueError, match=re.escape(f"m={m!r}")):
+            zonal_values(2, m, 0.5)
 
 
 class TestCosTransformSphere:
@@ -342,7 +379,7 @@ class TestFunkHecke:
 
     def test_raises_when_stalled(self, monkeypatch):
         # with no level above the first there are no two levels to agree
-        monkeypatch.setattr(transform, "_FH_MAX_LEVEL", transform._FH_LEVEL)
+        monkeypatch.setattr(transform, "_LAST_LEVEL", transform._FIRST_LEVEL)
         with pytest.raises(ConvergenceError, match="Funk-Hecke quadrature"):
             funk_hecke_1d(2, 2, 2.0)
 
@@ -362,18 +399,24 @@ class TestFunkHecke:
 
     @pytest.mark.parametrize("n", [0, -1, 2.5])
     def test_sphere_dimension_validated(self, n):
-        # the closed form and the quadrature both need a sphere S^n, n >= 1
+        # the closed form, the quadrature and the zonal profile all need a
+        # sphere S^n, n >= 1 (at n = 0 the profile divided by C_2^(-1/2)(1) = 0)
         with pytest.raises(ValueError):
             sphere_eta(n, 2, 1.0)
         with pytest.raises(ValueError):
             funk_hecke_1d(n, 2, 5.0)
+        with pytest.raises(ValueError):
+            zonal_values(n, 2, 0.5)
 
     def test_integral_floats_accepted(self):
-        # both sphere routes read an integral float as its integer
+        # both sphere routes and the zonal profile read an integral float as its integer
         lam = 3.25 + 0.5j
+        t = np.linspace(-1.0, 1.0, 9)
         assert funk_hecke_1d(2, 2.0, lam) == funk_hecke_1d(2, 2, lam)
         assert funk_hecke_1d(3.0, 4, lam) == funk_hecke_1d(3, 4, lam)
         assert sphere_eta(2.0, 2.0, lam) == sphere_eta(2, 2, lam)
+        assert np.array_equal(zonal_values(2, 2.0, t), zonal_values(2, 2, t))
+        assert np.array_equal(zonal_values(3.0, 3.0, t), zonal_values(3, 3, t))
 
 
 class TestMcCp:
@@ -493,29 +536,23 @@ class TestSinTransform:
 
 
 class TestSelberg:
-    def test_rank_one_is_beta(self, rng):
-        import math
-
-        got = selberg_closed(1, 0.9, 2.0, 3.0).value
-        assert rel_err(got, 1.0 / 12.0) < 1e-13  # B(2, 3), alpha drops out at p=1
-        for _ in range(5):
-            g1, g2 = rng.uniform(0.2, 4.0, 2)
-            beta = math.exp(math.lgamma(g1) + math.lgamma(g2) - math.lgamma(g1 + g2))
-            assert rel_err(selberg_closed(1, 1.3, g1, g2).value, beta) < 1e-12
-
-    def test_symmetric_in_exponents(self, rng):
-        for _ in range(10):
-            a = rng.uniform(0.3, 2.0)
-            g1, g2 = rng.uniform(0.3, 3.0, 2)
-            x = selberg_closed(2, a, g1, g2).value
-            y = selberg_closed(2, a, g2, g1).value
-            assert rel_err(x, y) < 1e-12
-
     def test_half_alpha_unit_exponents(self):
-        closed = selberg_closed(2, 0.5, 1.0, 1.0).value.real
-        oracle = selberg_oracle(2, 0.5, 1.0, 1.0)
-        assert abs(closed - 1.0 / 3.0) < 1e-13  # plain integral of |t1 - t2|
-        assert abs(closed - oracle) < 1e-6
+        # the plain integral of |t1 - t2| over the unit square
+        assert abs(selberg_oracle(2, 0.5, 1.0, 1.0) - 1.0 / 3.0) < 1e-6
+
+    def test_one_ladder_no_tuning_parameters(self):
+        import inspect
+
+        assert list(inspect.signature(selberg_oracle).parameters) == ["p", "alpha", "g1", "g2"]
+        assert list(inspect.signature(transform._ladder).parameters) == ["evaluate", "tol", "what"]
+        assert (transform._FIRST_LEVEL, transform._LAST_LEVEL) == (3, 8)
+        assert (transform._FH_TOL, transform._SELBERG_TOL) == (1e-12, 1e-7)
+
+    def test_selberg_closed_lives_in_spectral(self):
+        # transform keeps only the binding bench/workloads.py reads
+        assert "selberg_closed" in spectral.__all__
+        assert "selberg_closed" not in transform.__all__
+        assert transform.selberg_closed is spectral.selberg_closed
 
     def test_oracle_beta_value(self):
         assert abs(selberg_oracle(1, 1.0, 2.0, 3.0) - 1.0 / 12.0) < 1e-9
@@ -546,10 +583,11 @@ class TestSelberg:
         # two level doublings, through the (1 - x y)^(-0.95) corner: 9e-12
         assert error(2, 0.05, 0.05, 0.05) < 1e-10
 
-    def test_oracle_raises_when_stalled(self):
-        # (2, 0.05, 0.05, 0.05) converges at level 5 from the default start 3
-        with pytest.raises(ConvergenceError):
-            selberg_oracle(2, 0.05, 0.05, 0.05, level=3, max_level=4)
+    def test_oracle_raises_when_stalled(self, monkeypatch):
+        # (2, 0.05, 0.05, 0.05) converges at level 5 from the first level 3
+        monkeypatch.setattr(transform, "_LAST_LEVEL", 4)
+        with pytest.raises(ConvergenceError, match="Selberg quadrature .* by level 4"):
+            selberg_oracle(2, 0.05, 0.05, 0.05)
 
     def test_oracle_validation(self):
         with pytest.raises(ValueError):
@@ -578,8 +616,8 @@ class TestSelberg:
         assert "numpy" in modules
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
         # The oracles stay independent of the closed forms they check: only
-        # the field tag, the K-type wrapper and the Gamma cells of
-        # selberg_closed come from spectral, and the module itself never
+        # the field tag, the K-type wrapper and the selberg_closed binding
+        # that bench/ reads come from spectral, and the module itself never
         # does (`from . import spectral`, `import coslam.spectral`).
         from_spectral = set()
         for node in ast.walk(tree):
@@ -588,7 +626,10 @@ class TestSelberg:
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 from_spectral.update(alias.name for alias in node.names
                                      if alias.name.endswith("spectral"))
-        assert from_spectral == {"FieldTag", "ktype", "_gamma"}
+        assert from_spectral == {"FieldTag", "ktype", "selberg_closed"}
+        # ... and that binding is never read inside transform.
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
+                    and node.id == "selberg_closed" and isinstance(node.ctx, ast.Load)]
 
 
 class TestSpectralInversion:
@@ -803,7 +844,7 @@ class TestConcurrentStreams:
     @classmethod
     def serial(cls, s, value_fn, samples, seed, workers):
         # The documented realization, one stream after another: whole
-        # 2**14-sample frame batches, per-stream sums, the fixed-order tree.
+        # 2**14-sample frame batches, per-stream sums, a left fold in worker order.
         parts = []
         for w, rng in enumerate(worker_streams(seed, workers)):
             count = samples // workers + (w < samples % workers)
@@ -814,7 +855,7 @@ class TestConcurrentStreams:
                 s1 += complex(vals.sum())
                 s2 += float(np.abs(vals) ** 2 @ np.ones(take))
             parts.append((s1, s2, count))
-        s1, s2, n = _tree_reduce(parts)
+        s1, s2, n = (functools.reduce(operator.add, column) for column in zip(*parts))
         var = max(s2 - abs(s1) ** 2 / n, 0.0) / (n - 1) if n > 1 else 0.0
         return s1 / n, math.sqrt(var / n)
 
