@@ -316,10 +316,12 @@ def selberg_closed(p, alpha, g1, g2):
                  / (Gamma(alpha + 1) Gamma(alpha (p+j-2) + g1 + g2))
 
     Meromorphically continued through the log-Gamma representation; returns
-    pole/zero markers on the singular set.
+    pole/zero markers on the singular set.  p must be an integer >= 1
+    (integral floats accepted), as for selberg_oracle.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not (_integral(p) and p >= 1):
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    p = int(p)
     alpha, g1, g2 = complex(alpha), complex(g1), complex(g2)
     j = np.arange(1, p + 1)
     z = np.stack([alpha * j + 1.0, alpha * (j - 1) + g1, alpha * (j - 1) + g2,

@@ -14,7 +14,11 @@ That makes them usable as oracles:
   closed-form c-function (p = 1, 2), as the check of `spectral.selberg_closed`.
 
 Both 1-D oracles sum one tanh-sinh rule with parameter-free nodes, raising
-its level from 3 up to 8 until two levels agree (`_ladder`; else ConvergenceError).
+its level from 4 up to 8 until a level agrees with the level below
+(`_ladder`; else ConvergenceError).  The step halves from level to level, so
+the level below is read off the even nodes of the same evaluation, and each
+call evaluates every node once.  Up to the Funk-Hecke span the rules are
+slices of one read-only table per level, built once per process.
 
 Convergence gate: the defining integrals converge for Re(lambda) >= rho (the
 kernel is then bounded by 1); everything here enforces that, for finite
@@ -162,26 +166,28 @@ def sphere_grid(n, order):
 
     n = 1: 2*order uniform angles (trapezoid rule, spectrally accurate for
     periodic integrands), one ring.  n = 2: Gauss-Legendre of the given order
-    in cos(theta), one ring of 2*order uniform azimuths per node.
+    in cos(theta), one ring of 2*order uniform azimuths per node.  n must be
+    1 or 2 and order an integer >= 1 (integral floats accepted).
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not (_integral(order) and order >= 1):
+        raise ValueError(f"order must be >= 1 and integral, got {order!r}")
+    if not (_integral(n) and n in (1, 2)):
+        raise ValueError(f"only S^1 and S^2 grids are supported, got n={n!r}")
+    n, order = int(n), int(order)
     nphi = 2 * order
     if n == 1:
         theta = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return SphereGrid(1, pts, np.full(nphi, 1.0 / nphi), nphi)
-    if n == 2:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        phi = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
-        z = np.repeat(nodes, nphi)
-        s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        cp = np.tile(np.cos(phi), order)
-        sp = np.tile(np.sin(phi), order)
-        pts = np.stack([s * cp, s * sp, z], axis=1)
-        w = np.repeat(weights / 2.0, nphi) / nphi
-        return SphereGrid(2, pts, w, nphi)
-    raise ValueError("only S^1 and S^2 grids are supported")
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    phi = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
+    z = np.repeat(nodes, nphi)
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    cp = np.tile(np.cos(phi), order)
+    sp = np.tile(np.sin(phi), order)
+    pts = np.stack([s * cp, s * sp, z], axis=1)
+    w = np.repeat(weights / 2.0, nphi) / nphi
+    return SphereGrid(2, pts, w, nphi)
 
 
 def zonal_values(n, m, t):
@@ -220,10 +226,13 @@ def sphere_quadrature_tolerance(lam, n, order=64):
     The kernel loses smoothness across <x, w> = 0, so the guarantee weakens
     toward the convergence edge: 1e-2 for lambda - rho in (0, 1), 1e-3 on
     [1, 2), 1e-4 from lambda = rho + 2 on (where acceptance runs); halve the
-    order and the bound grows by roughly 10x.
+    order and the bound grows by roughly 10x.  n must be an integer >= 1 and
+    order an integer >= 1 (integral floats accepted).
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not (_integral(n) and n >= 1):
+        raise ValueError(f"need an integral sphere dimension n >= 1, got {n!r}")
+    if not (_integral(order) and order >= 1):
+        raise ValueError(f"order must be >= 1 and integral, got {order!r}")
     if not cmath.isfinite(lam):
         raise ValueError("lambda must be finite")
     gap = complex(lam).real - (n + 1) / 2.0
@@ -283,7 +292,7 @@ def cos_transform_sphere(n, lam, f, grid):
 # ---------------------------------------------------------------------------
 
 
-def _tanh_sinh_01(level, span):
+def _build_tanh_sinh_01(level, span):
     # Tanh-sinh rule on [0, 1] in logs: x = 1 / (1 + exp(-pi sinh u)) at
     # u = j 2^-level, |u| <= span.  Returns log(pi h cosh u), log x and
     # log(1 - x); the log weight is their sum.  Callers add the Jacobian
@@ -295,27 +304,51 @@ def _tanh_sinh_01(level, span):
     return math.log(math.pi * h) + np.log(np.cosh(u)), -np.logaddexp(0.0, -s), -np.logaddexp(0.0, s)
 
 
+_FH_SPAN = math.log(160.0 / math.pi)  # selberg_oracle's span at endpoint exponent 1/2
+
+
+@functools.cache
+def _rule_table(level):
+    # The level's rule at _FH_SPAN, built once per process and read-only.
+    rule = _build_tanh_sinh_01(level, _FH_SPAN)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
+def _tanh_sinh_01(level, span):
+    # The tanh-sinh rule of _build_tanh_sinh_01.  Up to _FH_SPAN it is the
+    # centred slice of the level's table, elementwise the same numbers as a
+    # direct build; a wider span (selberg_oracle below exponent 1/2) is built.
+    if span > _FH_SPAN:
+        return _build_tanh_sinh_01(level, span)
+    h = 0.5 ** level
+    top, j = math.floor(_FH_SPAN / h), math.floor(span / h)
+    return tuple(part[top - j:top + j + 1] for part in _rule_table(level))
+
+
+def _coarse(nodes):
+    # The index slice of a rule of 2 J + 1 nodes u = j h, |j| <= J, that is
+    # the rule at step 2 h (the level below): the nodes of even j, at the
+    # indices of the parity of J.
+    return slice(nodes // 2 % 2, None, 2)
+
+
 _FIRST_LEVEL, _LAST_LEVEL = 3, 8  # the one level schedule of both 1-D oracles
 _FH_TOL, _SELBERG_TOL = 1e-12, 1e-7  # the agreement each oracle's ladder asks for
 
 
 def _ladder(evaluate, tol, what):
-    # Raise the level by one (halving the step) from _FIRST_LEVEL until
-    # evaluate gives two successive levels that agree to tol * max(1, |I|):
+    # Raise the level by one (halving the step) from _FIRST_LEVEL + 1 until
+    # evaluate(level), which gives the level's value and that of the level
+    # below from the same nodes, has the two agree to tol * max(1, |I|):
     # absolute below 1, relative above.  No agreement by _LAST_LEVEL raises
     # ConvergenceError.
-    level = _FIRST_LEVEL
-    prev = evaluate(level)
-    while level < _LAST_LEVEL:
-        level += 1
-        cur = evaluate(level)
+    for level in range(_FIRST_LEVEL + 1, _LAST_LEVEL + 1):
+        cur, prev = evaluate(level)
         if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur
-        prev = cur
     raise ConvergenceError(f"{what} did not reach {tol} agreement by level {_LAST_LEVEL}")
-
-
-_FH_SPAN = math.log(160.0 / math.pi)  # selberg_oracle's span at endpoint exponent 1/2
 
 
 def funk_hecke_1d(n, m, lam):
@@ -333,8 +366,9 @@ def funk_hecke_1d(n, m, lam):
 
     both on selberg_oracle's tanh-sinh rule.  Both endpoint exponents are
     >= 1/2 on the convergence region, so the span is the constant
-    log(160 / pi).  The level rises from 3 until two successive levels of eta
-    agree to 1e-12 * max(1, |eta|); ConvergenceError if none do by level 8.
+    log(160 / pi).  The level rises from 4 until eta at a level and at the
+    level below (its even nodes) agree to 1e-12 * max(1, |eta|);
+    ConvergenceError if none do by level 8.
     """
     n, m = _sphere_degree(n, m)
     rho = (n + 1) / 2.0
@@ -342,10 +376,15 @@ def funk_hecke_1d(n, m, lam):
     g1, g2 = 0.5 * (complex(lam) - rho + 1.0), 0.5 * n
 
     def evaluate(level):
+        # eta on the level's nodes, then on the level below's: the ratio
+        # takes no factor for the doubled step
         log_w, log_x, log_1mx = _tanh_sinh_01(level, _FH_SPAN)
         log_w = log_w + g2 * log_1mx
-        num = np.exp(log_w + g1 * log_x) @ zonal_values(n, m, np.exp(0.5 * log_x))
-        return complex(num / np.exp(log_w + 0.5 * log_x).sum())
+        num = np.exp(log_w + g1 * log_x)
+        profile = zonal_values(n, m, np.exp(0.5 * log_x))
+        den = np.exp(log_w + 0.5 * log_x)
+        c = _coarse(log_x.size)
+        return complex(num @ profile / den.sum()), complex(num[c] @ profile[c] / den[c].sum())
 
     return _ladder(evaluate, _FH_TOL, f"Funk-Hecke quadrature (n={n}, m={m}, lambda={lam})")
 
@@ -627,6 +666,8 @@ _SELBERG_BLOCK = 1 << 16  # p = 2 integrand entries formed at once: memory stays
 def selberg_oracle(p, alpha, g1, g2):
     """Brute-force Selberg integral for p in {1, 2}, alpha > 0 and g1, g2 >= 1e-300.
 
+    p must be 1 or 2, integral floats accepted, as for spectral.selberg_closed.
+
     Tanh-sinh quadrature on [0, 1] (Takahasi-Mori 1974): nodes
     x = 1 / (1 + exp(-pi sinh u)) at u = j 2^-level, |u| <= U, which do not
     depend on the parameters and absorb algebraic endpoint singularities.
@@ -640,11 +681,13 @@ def selberg_oracle(p, alpha, g1, g2):
     exponent, min(g1, g2) at p = 1 and min(g1, g2, 2 alpha + 1) at p = 2.
     The rule's node count, squared at p = 2, grows like log(1 / gmin).
 
-    The level rises from 3 until two successive levels agree to
-    1e-7 * max(1, |I|); ConvergenceError if none do by level 8.
+    The level rises from 4 until the integral at a level and at the level
+    below (its even nodes) agree to 1e-7 * max(1, |I|); ConvergenceError if
+    none do by level 8.
     """
-    if p not in (1, 2):
-        raise ValueError("the oracle covers p = 1 and p = 2 only")
+    if not (_integral(p) and p in (1, 2)):
+        raise ValueError(f"the oracle covers p = 1 and p = 2 only, got p={p!r}")
+    p = int(p)
     if not all(0.0 < x < math.inf for x in (alpha, g1, g2)):  # NaN fails too
         raise ValueError("oracle parameters must be finite positive reals")
     if min(g1, g2) < 1e-300:  # U = 694 at 1e-300; sinh overflows past 710
@@ -653,16 +696,22 @@ def selberg_oracle(p, alpha, g1, g2):
     span = max(3.0, math.log(80.0 / math.pi) - math.log(gmin))
 
     def evaluate(level):
+        # the integral on the level's nodes, then on the level below's, whose
+        # weights are twice as large per dimension
         log_w, log_x, log_1mx = _tanh_sinh_01(level, span)
+        c = _coarse(log_x.size)
         if p == 1:
-            return float(np.exp(log_w + g1 * log_x + g2 * log_1mx).sum())
+            terms = np.exp(log_w + g1 * log_x + g2 * log_1mx)
+            return float(terms.sum()), 2.0 * float(terms[c].sum())
         fx = log_w + 2.0 * (g1 + alpha) * log_x + g2 * log_1mx
         fy = log_w + g1 * log_x + (2.0 * alpha + 1.0) * log_1mx
         rows = max(1, _SELBERG_BLOCK // fy.size)
-        total = 0.0
+        total = sub = 0.0
         for i in range(0, fx.size, rows):
             corner = np.logaddexp(log_1mx[i:i + rows, None], log_x[i:i + rows, None] + log_1mx)
-            total += float(np.exp(fx[i:i + rows, None] + fy + (g2 - 1.0) * corner).sum())
-        return 2.0 * total
+            terms = np.exp(fx[i:i + rows, None] + fy + (g2 - 1.0) * corner)
+            total += float(terms.sum())
+            sub += float(terms[(c.start - i) % 2::2, c].sum())
+        return 2.0 * total, 8.0 * sub
 
     return _ladder(evaluate, _SELBERG_TOL, f"Selberg quadrature (alpha={alpha}, g1={g1}, g2={g2})")

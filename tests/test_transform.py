@@ -159,6 +159,25 @@ class TestSphereGrid:
         with pytest.raises(ValueError):
             SphereGrid(2, np.zeros((4, 3)), np.full(4, 0.3))
 
+    def test_integral_floats_accepted(self):
+        for n in (1, 2):
+            exact, floats = sphere_grid(n, 4), sphere_grid(float(n), 4.0)
+            assert floats.n == n and floats.azimuths == exact.azimuths == 8
+            assert np.array_equal(floats.points, exact.points)
+            assert np.array_equal(floats.weights, exact.weights)
+        assert sphere_quadrature_tolerance(3.5, 2.0, 32.0) == sphere_quadrature_tolerance(3.5, 2, 32)
+
+    @pytest.mark.parametrize("n,order", [(2, 2.5), (1, 2.5), (1.5, 4), (0, 4), (3.0, 4), (2, 0.0)])
+    def test_grid_arguments_validated(self, n, order):
+        with pytest.raises(ValueError):
+            sphere_grid(n, order)
+
+    @pytest.mark.parametrize("n,order", [(2.5, 64), (0, 64), (-1, 64), (2, 2.5), (2, 0.0)])
+    def test_tolerance_arguments_validated(self, n, order):
+        # an error model for a sphere S^n and a grid order
+        with pytest.raises(ValueError):
+            sphere_quadrature_tolerance(3.0, n, order)
+
 
 class TestZonalValues:
     @pytest.mark.parametrize("m", [2.5, -1, -2, math.nan, "2"])
@@ -554,6 +573,20 @@ class TestSelberg:
         assert "selberg_closed" not in transform.__all__
         assert transform.selberg_closed is spectral.selberg_closed
 
+    def test_p_rule_shared_with_closed_form(self):
+        # both read p through one integrality rule
+        args = (1.0, 2.0, 3.0)
+        assert selberg_oracle(2.0, *args) == selberg_oracle(2, *args)
+        assert selberg_closed(2.0, *args) == selberg_closed(2, *args)
+        assert rel_err(selberg_oracle(2.0, *args), selberg_closed(2.0, *args).value) < 1e-12
+        for p in (1.5, "2", None):
+            with pytest.raises(ValueError):
+                selberg_oracle(p, *args)
+            with pytest.raises(ValueError):
+                selberg_closed(p, *args)
+        with pytest.raises(ValueError):
+            selberg_closed(0, *args)
+
     def test_oracle_beta_value(self):
         assert abs(selberg_oracle(1, 1.0, 2.0, 3.0) - 1.0 / 12.0) < 1e-9
 
@@ -630,6 +663,101 @@ class TestSelberg:
         # ... and that binding is never read inside transform.
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
                     and node.id == "selberg_closed" and isinstance(node.ctx, ast.Load)]
+
+
+# Oracle values to the last bit.  Reading the level below off a level's even
+# nodes and slicing the rule tables leave them exactly as the ladder that
+# evaluated every level separately gave them.
+LADDER_VALUES = [
+    (funk_hecke_1d, (3, 4, 2.5 + 1.3j), -0.02439746130184782 + 0.0309778972912046j),
+    (funk_hecke_1d, (1, 2, 1.5 + 0.7j), 0.21619026153786802 + 0.0918984400922871j),
+    (funk_hecke_1d, (2, 0, 1.5), 1 + 0j),
+    (funk_hecke_1d, (2, 2, 1.501), 0.0003328893698769937 + 0j),
+    (funk_hecke_1d, (5, 8, 4.25 - 2j), 0.0014424967107858537 + 0.00033204376596129766j),
+    (funk_hecke_1d, (7, 12, 6.0), 1.2424041724466862e-19 + 0j),
+    (selberg_oracle, (1, 1.0, 2.0, 3.0), 0.08333333333333333),
+    (selberg_oracle, (1, 1.0, 1e-06, 2.0), 999999.0000010004),  # a span past the tables
+    (selberg_oracle, (2, 0.5, 1.0, 1.0), 0.3333333333333333),
+    (selberg_oracle, (2, 0.05, 0.05, 0.05), 1174.134709871937),
+    (selberg_oracle, (2, 1.3, 0.7, 2.2), 0.03729681162184107),
+]
+
+SPANS = [3.0, transform._FH_SPAN, 6.0]
+
+
+class TestTanhSinhLadder:
+    @pytest.mark.parametrize("span", SPANS)
+    @pytest.mark.parametrize("level", range(transform._FIRST_LEVEL + 1, transform._LAST_LEVEL + 1))
+    def test_level_below_is_the_even_nodes(self, level, span):
+        fine = transform._tanh_sinh_01(level, span)
+        coarse = transform._tanh_sinh_01(level - 1, span)
+        even = slice(math.floor(span * 2 ** level) % 2, None, 2)
+        assert transform._coarse(fine[1].size) == even
+        for f, c in zip(fine[1:], coarse[1:]):
+            assert np.array_equal(f[even], c)
+        # the step doubles, so the weights double
+        assert np.allclose(coarse[0], fine[0][even] + math.log(2.0), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("block", [transform._SELBERG_BLOCK, 1, 2])
+    def test_level_below_value_is_that_level(self, monkeypatch, block):
+        # evaluate(level)'s second value, read off the even nodes, is the
+        # value of level - 1; a block of one or two rows splits the p = 2
+        # sum at every row, so odd and even block starts both occur
+        monkeypatch.setattr(transform, "_SELBERG_BLOCK", block)
+        evaluations = []
+        monkeypatch.setattr(transform, "_ladder",
+                            lambda evaluate, tol, what: evaluations.append(evaluate))
+        funk_hecke_1d(3, 4, 2.5 + 1.3j)
+        funk_hecke_1d(1, 6, 1.0 + 0.2j)
+        selberg_oracle(1, 1.0, 0.3, 2.0)
+        selberg_oracle(2, 0.7, 0.3, 1.2)  # a span past the tables
+        selberg_oracle(2, 1.3, 0.7, 2.2)
+        for evaluate in evaluations:
+            for level in range(transform._FIRST_LEVEL + 1, 7):
+                assert rel_err(evaluate(level)[1], evaluate(level - 1)[0]) < 1e-13, level
+
+    @pytest.mark.parametrize("span", SPANS + [math.log(80.0 / math.pi) - math.log(0.7)])
+    @pytest.mark.parametrize("level", range(transform._FIRST_LEVEL, transform._LAST_LEVEL + 1))
+    def test_table_slice_is_a_direct_build(self, level, span):
+        rule = transform._tanh_sinh_01(level, span)
+        for got, direct in zip(rule, transform._build_tanh_sinh_01(level, span)):
+            assert np.array_equal(got, direct)
+
+    def test_tables_are_read_only(self):
+        for level in range(transform._FIRST_LEVEL, transform._LAST_LEVEL + 1):
+            for part in transform._rule_table(level) + transform._tanh_sinh_01(level, 3.0):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0] = 0.0
+
+    def test_each_level_evaluated_once(self, monkeypatch):
+        levels = []
+        rule = transform._tanh_sinh_01
+
+        def spy(level, span):
+            levels.append(level)
+            return rule(level, span)
+
+        monkeypatch.setattr(transform, "_tanh_sinh_01", spy)
+        funk_hecke_1d(3, 4, 2.5 + 1.3j)
+        assert levels == [4]
+        runs = {}
+        for oracle, args, _ in LADDER_VALUES:
+            levels.clear()
+            oracle(*args)
+            assert levels == list(range(transform._FIRST_LEVEL + 1, levels[-1] + 1)), args
+            runs[args] = list(levels)
+        assert runs[2, 0.05, 0.05, 0.05] == [4, 5]  # two doublings from level 3
+
+    @pytest.mark.parametrize("oracle,args,expected", LADDER_VALUES)
+    def test_values_unchanged(self, oracle, args, expected):
+        assert oracle(*args) == expected
+
+    def test_cold_tables_give_warm_values(self):
+        warm = [oracle(*args) for oracle, args, _ in LADDER_VALUES]
+        transform._rule_table.cache_clear()
+        assert [oracle(*args) for oracle, args, _ in LADDER_VALUES] == warm
+        assert transform._rule_table.cache_info().currsize > 0
 
 
 class TestSpectralInversion:
